@@ -5,6 +5,7 @@ use crate::report::{count_pct, Table};
 use filterscope_core::{Interner, Sym};
 use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{RecordView, RequestClass};
+use filterscope_stats::counter::top_n_by_count;
 use filterscope_stats::powerlaw::{fit_domain_alpha, frequency_of_frequencies};
 use filterscope_stats::CountMap;
 
@@ -15,7 +16,8 @@ use filterscope_stats::CountMap;
 /// hash lookup, not a fresh `String`. Symbols are shard-local —
 /// [`DomainStats::merge`] remaps the absorbed shard's symbols through
 /// [`Interner::absorb_remap`] — and every read-out resolves symbols back to
-/// `&str` before any sorting, keeping output independent of intern order.
+/// `&str` before any name comparison, keeping output independent of intern
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct DomainStats {
     interner: Interner,
@@ -81,19 +83,16 @@ impl DomainStats {
         self.map_of(class).total()
     }
 
-    /// Resolve symbols and sort by count descending, ties by domain name —
-    /// never by symbol id, which depends on intern order.
+    /// Top `n` by count descending, ties by domain name — never by symbol
+    /// id, which depends on intern order. Only the tie band at the `n`-th
+    /// count is resolved (see [`top_n_by_count`]).
     fn top_resolved(&self, map: &CountMap<Sym>, n: usize) -> Vec<(String, u64)> {
-        let mut items: Vec<(&str, u64)> = map
-            .iter()
-            .map(|(sym, count)| (self.interner.resolve(*sym), count))
-            .collect();
-        items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        items.truncate(n);
-        items
-            .into_iter()
-            .map(|(domain, count)| (domain.to_string(), count))
-            .collect()
+        top_n_by_count(map.iter().map(|(sym, count)| (*sym, count)), n, |sym| {
+            self.interner.resolve(*sym)
+        })
+        .into_iter()
+        .map(|(sym, count)| (self.interner.resolve(sym).to_string(), count))
+        .collect()
     }
 
     /// Top-`n` allowed domains with counts.

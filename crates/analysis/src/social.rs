@@ -5,6 +5,7 @@ use crate::report::{count_pct, Table};
 use filterscope_core::{Interner, Sym};
 use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{RecordView, RequestClass};
+use filterscope_stats::counter::top_n_by_count;
 use std::collections::HashMap;
 
 /// The 28-site panel of §6: Alexa's top social networks (as of the paper's
@@ -184,11 +185,14 @@ impl SocialStats {
 
     /// Table 13 rows: OSNs by censored volume.
     pub fn top_censored_osns(&self, n: usize) -> Vec<(&'static str, ClassCounts)> {
-        let mut v: Vec<(&'static str, ClassCounts)> =
-            self.osn.iter().map(|(k, c)| (*k, *c)).collect();
-        v.sort_by(|a, b| b.1.censored.cmp(&a.1.censored).then(a.0.cmp(b.0)));
-        v.truncate(n);
-        v
+        top_n_by_count(
+            self.osn.iter().map(|(k, c)| ((*k, *c), c.censored)),
+            n,
+            |(k, _)| *k,
+        )
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect()
     }
 
     /// OSNs with zero censored requests (the "not censored" finding).
@@ -226,18 +230,19 @@ impl SocialStats {
             "Table 14: Facebook pages in the custom category",
             &["Page", "Censored", "Allowed", "Proxied"],
         );
-        // Resolve symbols before sorting: row order must not depend on
+        // Ties break by the resolved name: row order must not depend on
         // intern order.
-        let mut rows: Vec<(&str, &(ClassCounts, bool))> = self
-            .fb_pages
-            .iter()
-            .filter(|(_, (c, blocked))| *blocked || c.censored > 0)
-            .map(|(sym, v)| (self.interner.resolve(*sym), v))
-            .collect();
-        rows.sort_by(|a, b| b.1 .0.censored.cmp(&a.1 .0.censored).then(a.0.cmp(b.0)));
-        for (page, (c, _)) in rows.into_iter().take(12) {
+        let rows = top_n_by_count(
+            self.fb_pages
+                .iter()
+                .filter(|(_, (c, blocked))| *blocked || c.censored > 0)
+                .map(|(sym, (c, _))| ((*sym, c), c.censored)),
+            12,
+            |(sym, _)| self.interner.resolve(*sym),
+        );
+        for ((sym, c), _) in rows {
             t.row([
-                page.to_string(),
+                self.interner.resolve(sym).to_string(),
                 c.censored.to_string(),
                 c.allowed.to_string(),
                 c.proxied.to_string(),
@@ -252,16 +257,17 @@ impl SocialStats {
             "Table 15: Facebook social-plugin elements",
             &["Element", "Censored", "Allowed", "Proxied"],
         );
-        let mut rows: Vec<(&str, &ClassCounts)> = self
-            .fb_plugins
-            .iter()
-            .map(|(sym, v)| (self.interner.resolve(*sym), v))
-            .collect();
-        rows.sort_by(|a, b| b.1.censored.cmp(&a.1.censored).then(a.0.cmp(b.0)));
+        let rows = top_n_by_count(
+            self.fb_plugins
+                .iter()
+                .map(|(sym, c)| ((*sym, c), c.censored)),
+            10,
+            |(sym, _)| self.interner.resolve(*sym),
+        );
         let ctotal = self.fb_total.censored;
-        for (path, c) in rows.into_iter().take(10) {
+        for ((sym, c), _) in rows {
             t.row([
-                path.to_string(),
+                self.interner.resolve(sym).to_string(),
                 count_pct(c.censored, ctotal),
                 c.allowed.to_string(),
                 c.proxied.to_string(),

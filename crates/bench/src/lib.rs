@@ -11,7 +11,9 @@
 //!   thread vs all cores (the case for a Rust implementation);
 //! * `ablation` — the design choices DESIGN.md calls out: Aho–Corasick vs
 //!   naive scanning, domain trie vs suffix checks, CidrSet vs linear scan,
-//!   Space-Saving vs exact counting.
+//!   Space-Saving vs exact counting;
+//! * `readout` — the bounded top-n read-outs a `serve` publish renders,
+//!   at ~75k distinct keys.
 //!
 //! Corpora are generated once per process and shared across benchmarks.
 

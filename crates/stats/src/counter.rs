@@ -83,16 +83,50 @@ impl<K: Eq + Hash + Clone + Ord> CountMap<K> {
     /// The `n` largest entries, by count descending, ties broken by key for
     /// deterministic output.
     pub fn top_n(&self, n: usize) -> Vec<(K, u64)> {
-        let mut items: Vec<(K, u64)> = self.counts.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        items.truncate(n);
-        items
+        top_n_by_count(self.counts.iter().map(|(k, v)| (k, *v)), n, |k| *k)
+            .into_iter()
+            .map(|(k, v)| (k.clone(), v))
+            .collect()
     }
 
     /// All entries sorted by count descending (ties by key).
     pub fn sorted(&self) -> Vec<(K, u64)> {
         self.top_n(usize::MAX)
     }
+}
+
+/// The `n` entries with the largest counts, count descending, ties broken
+/// by `name` ascending: the same list as sorting every entry that way and
+/// keeping the first `n`.
+///
+/// Only the tie band is named and sorted. One selection pass finds the
+/// `n`-th largest count (the floor); every true top-`n` entry has a count
+/// at or above it, so entries below the floor are dropped before `name`
+/// runs. A bounded read-out over `d` distinct keys then costs O(d) plus a
+/// sort of the band, not a sort of all `d`; when every count ties, the band
+/// is everything and the cost is the full sort plus one O(d) pass.
+///
+/// `name` must be injective over the entries for the order to be a pure
+/// function of their contents (keys from one map and the strings an
+/// interner resolves them to both are).
+pub fn top_n_by_count<K, N: Ord>(
+    entries: impl IntoIterator<Item = (K, u64)>,
+    n: usize,
+    name: impl Fn(&K) -> N,
+) -> Vec<(K, u64)> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut band: Vec<(K, u64)> = entries.into_iter().collect();
+    if n < band.len() {
+        let (_, nth, _) = band.select_nth_unstable_by(n - 1, |a, b| b.1.cmp(&a.1));
+        let floor = nth.1;
+        band.retain(|e| e.1 >= floor);
+    }
+    let mut named: Vec<(N, K, u64)> = band.into_iter().map(|(k, c)| (name(&k), k, c)).collect();
+    named.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+    named.truncate(n);
+    named.into_iter().map(|(_, k, c)| (k, c)).collect()
 }
 
 impl<K: Eq + Hash> FromIterator<K> for CountMap<K> {

@@ -85,6 +85,12 @@ pub struct ServerStats {
     pub connections_dropped: IAtomicU64,
     /// Records ingested across all connections.
     pub records: IAtomicU64,
+    /// Records the last published snapshot covers: the fold count, which
+    /// trails `records` by whatever workers ingested since the last cycle.
+    /// Stored (`Release`) after the snapshot files and the snap-log gauges
+    /// are written and loaded (`Acquire`) by [`render`], so a reader that
+    /// sees it reach N also sees that publish's effects.
+    pub published_records: IAtomicU64,
     /// Unparseable lines across all connections.
     pub parse_errors: IAtomicU64,
     /// Frames received across all connections.
@@ -138,6 +144,7 @@ impl ServerStats {
             connections_live: IAtomicU64::new(0),
             connections_dropped: IAtomicU64::new(0),
             records: IAtomicU64::new(0),
+            published_records: IAtomicU64::new(0),
             parse_errors: IAtomicU64::new(0),
             frames: IAtomicU64::new(0),
             bytes: IAtomicU64::new(0),
@@ -211,6 +218,11 @@ pub fn render(stats: &ServerStats, conns: &[Arc<ConnStats>]) -> String {
         load(&stats.connections_dropped)
     );
     let _ = writeln!(out, "filterscope_records_total {}", load(&stats.records));
+    let _ = writeln!(
+        out,
+        "filterscope_published_records {}",
+        stats.published_records.load(Ordering::Acquire)
+    );
     let _ = writeln!(
         out,
         "filterscope_parse_errors_total {}",
@@ -396,11 +408,13 @@ mod tests {
     fn render_covers_global_and_per_conn_lines() {
         let stats = ServerStats::new();
         stats.records.store(42, Ordering::Relaxed);
+        stats.published_records.store(40, Ordering::Relaxed);
         stats.snapshot_written(3);
         let conn = Arc::new(ConnStats::new(0, "sg-42".to_string()));
         conn.records.store(42, Ordering::Relaxed);
         let page = render(&stats, &[conn]);
         assert!(page.contains("filterscope_records_total 42"));
+        assert!(page.contains("filterscope_published_records 40"));
         assert!(page.contains("filterscope_snapshot_seq 3"));
         assert!(page.contains("filterscope_snapshot_age_seconds"));
         assert!(page.contains("filterscope_conn_records_total{conn=\"sg-42\"} 42"));

@@ -214,6 +214,9 @@ impl SnapSink for LogSink<'_> {
         ) {
             Ok(seq) => {
                 self.stats.snapshot_written(seq);
+                self.stats
+                    .published_records
+                    .store(counters.folded.records, Ordering::Release);
                 Ok(())
             }
             Err(e) => Err(format!("snapshot {} failed: {e}", self.writer.seq() + 1)),

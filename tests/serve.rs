@@ -50,6 +50,15 @@ struct Daemon {
     metrics: String,
 }
 
+/// A failed assertion unwinds past `join`; kill the daemon then, so a
+/// failing test does not leave it running.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawn `filterscope serve` on ephemeral ports and parse the two
 /// address lines it prints to stdout.
 fn spawn_serve(snapshot_dir: &Path) -> Daemon {
@@ -112,20 +121,22 @@ fn metric(page: &str, name: &str) -> Option<u64> {
         .and_then(|l| l[name.len() + 1..].trim().parse().ok())
 }
 
-/// Poll the metrics endpoint until `records_total` reaches `want` — the
-/// deterministic way to know the daemon has ingested everything the
-/// client sent, without sleeping for luck.
-fn await_records(metrics_addr: &str, want: u64) {
+/// Poll the metrics endpoint until gauge `name` reads exactly `want` — the
+/// deterministic way to wait on the daemon without sleeping for luck.
+/// `filterscope_records_total` moves at ingest: it says the daemon has
+/// everything the client sent. `filterscope_published_records` moves at
+/// publish: it says a snapshot (and its snap-log frames) covers it.
+fn await_gauge(metrics_addr: &str, name: &str, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut page = String::new();
     while Instant::now() < deadline {
         page = http_get(metrics_addr, "/metrics");
-        if metric(&page, "filterscope_records_total") == Some(want) {
+        if metric(&page, name) == Some(want) {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    panic!("daemon never reached {want} records; last metrics page:\n{page}");
+    panic!("daemon never reached {name} {want}; last metrics page:\n{page}");
 }
 
 /// Ask the daemon to shut down: SIGINT where available (the production
@@ -194,7 +205,11 @@ fn final_snapshot_is_byte_identical_to_batch_analyze() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        await_records(&daemon.metrics, expected_records);
+        await_gauge(
+            &daemon.metrics,
+            "filterscope_records_total",
+            expected_records,
+        );
         // SIGINT on the multi-connection run, /shutdown on the other, so
         // both shutdown paths stay covered.
         request_shutdown(&daemon, connections == 7);
@@ -257,7 +272,11 @@ fn history_at_matches_batch_analyze() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        await_records(&daemon.metrics, expected_records);
+        await_gauge(
+            &daemon.metrics,
+            "filterscope_published_records",
+            expected_records,
+        );
         let page = http_get(&daemon.metrics, "/metrics");
         assert!(
             metric(&page, "filterscope_snaplog_frames_total") >= Some(1),
@@ -348,7 +367,7 @@ fn corrupt_and_disconnected_peers_do_not_take_down_the_daemon() {
         .unwrap_or_else(|| panic!("no line count in: {stream_stderr}"));
     assert!(streamed > 100);
 
-    await_records(&daemon.metrics, streamed);
+    await_gauge(&daemon.metrics, "filterscope_records_total", streamed);
     let page = http_get(&daemon.metrics, "/metrics");
     assert!(
         metric(&page, "filterscope_connections_dropped_total") >= Some(1),
