@@ -219,7 +219,9 @@ mod tests {
         // of the serialized line (slices over a line buffer).
         let line = r.write_csv();
         let mut splitter = filterscope_logformat::LineSplitter::new();
-        let parsed = filterscope_logformat::parse_view(&mut splitter, &line, 1).unwrap();
+        let parsed = filterscope_logformat::Schema::canonical()
+            .parse_view(&mut splitter, &line, 1)
+            .unwrap();
         assert_eq!(in_sample(&parsed), in_sample(&r.as_view()));
     }
 

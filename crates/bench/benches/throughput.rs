@@ -14,7 +14,7 @@
 //! * `parallel_ingest` — the sharded file-ingest path at 1 thread vs all
 //!   cores (the tentpole speedup this crate exists to defend);
 //! * `stream_ingest` — the streaming daemon's per-connection loop (frame
-//!   decode → zero-copy parse → ingest) against the single-threaded
+//!   decode → `proto::ingest_batch`) against the single-threaded
 //!   file-shard path over the same records: the framing tax.
 
 use filterscope_analysis::{
@@ -23,13 +23,16 @@ use filterscope_analysis::{
 use filterscope_bench::harness::{black_box, Harness, Throughput};
 use filterscope_bench::{corpus, csv_lines};
 use filterscope_core::pool;
-use filterscope_logformat::frame::{batch_lines, Frame};
-use filterscope_logformat::{parse_line, parse_view, BlockParser, LineSplitter, LogWriter, Schema};
+use filterscope_logformat::frame::Frame;
+use filterscope_logformat::{parse_line, BlockParser, LineSplitter, LogWriter, Schema};
 use filterscope_proxy::config::FarmConfig;
 use filterscope_proxy::cpl;
 use filterscope_proxy::{artifact, PolicyData};
 use filterscope_proxy::{PolicyEngine, ProfileKind, ProxyConfig, ProxyFarm, Request};
+use filterscope_stream::metrics::{ConnStats, ServerStats};
+use filterscope_stream::proto::{self, LineParser, Shard};
 use filterscope_synth::{Corpus, SynthConfig};
+use interleave::IMutex;
 use std::path::PathBuf;
 
 fn bench_throughput(c: &mut Harness) {
@@ -78,25 +81,11 @@ fn bench_throughput(c: &mut Harness) {
         })
     });
 
-    // Schema-flexible parsing pays a mapping indirection; measure it.
-    let schema = Schema::canonical();
-    g.throughput(Throughput::Bytes(bytes));
-    g.bench_function("parse_lines_via_schema", |b| {
-        b.iter(|| {
-            let mut ok = 0u64;
-            for (i, line) in lines.iter().enumerate() {
-                if schema.parse_record(line, i as u64).is_ok() {
-                    ok += 1;
-                }
-            }
-            black_box(ok)
-        })
-    });
-
-    // The block-oriented hot path `ParallelIngest` actually runs: one
+    // The block-oriented hot path every ingest actually runs: one
     // SWAR-split pass over a whole block of lines, span-resolved into
-    // `RecordView`s. The delta to `parse_lines_via_schema` is the payoff
-    // of amortizing per-line setup across a block.
+    // `RecordView`s. The delta to `parse_lines` is the payoff of
+    // amortizing per-line setup (and the owned record) across a block.
+    let schema = Schema::canonical();
     let block: Vec<u8> = lines
         .iter()
         .flat_map(|l| l.bytes().chain(std::iter::once(b'\n')))
@@ -320,11 +309,12 @@ fn bench_parse_throughput(c: &mut Harness) {
         })
     });
     g.bench_function("record_views", |b| {
+        let schema = Schema::canonical();
         let mut splitter = LineSplitter::new();
         b.iter(|| {
             let mut censored = 0u64;
             for (i, line) in lines.iter().enumerate() {
-                if let Ok(v) = parse_view(&mut splitter, line, i as u64) {
+                if let Ok(v) = schema.parse_view(&mut splitter, line, i as u64) {
                     if v.exception_is_policy() {
                         censored += 1;
                     }
@@ -403,11 +393,12 @@ fn bench_selective_ingest(c: &mut Harness) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What the wire format costs: the exact per-connection loop of
-/// `filterscope serve` (frame decode → `batch_lines` → zero-copy parse →
-/// ingest) over a pre-encoded in-memory stream, against the 1-thread
-/// file-shard ingest of the same records. The two differ only in the
-/// transport layer, so the gap is the framing + checksum tax.
+/// What the wire format costs: the per-connection loop of `filterscope
+/// serve` (frame decode → `proto::ingest_batch`, which block-parses the
+/// payload and ingests it into the connection's delta shard) over a
+/// pre-encoded in-memory stream, against the 1-thread file-shard ingest of
+/// the same records. Both parse through `BlockParser`, so the gap is the
+/// framing + checksum tax plus serve's per-batch bookkeeping.
 fn bench_stream_ingest(c: &mut Harness) {
     let (records, ctx) = corpus();
     let lines = csv_lines();
@@ -440,29 +431,27 @@ fn bench_stream_ingest(c: &mut Harness) {
     let mut g = c.benchmark_group("stream_ingest");
     g.sample_size(10);
     g.throughput(Throughput::Elements(records.len() as u64));
-    let schema = Schema::canonical();
     g.bench_function("framed_decode_parse_ingest", |b| {
         b.iter(|| {
             let mut cursor = std::io::Cursor::new(&wire[..]);
-            let mut splitter = LineSplitter::new();
-            let mut suite = AnalysisSuite::new(2);
-            let mut line_no = 0u64;
-            let mut ok = 0u64;
+            let mut parser = LineParser::new();
+            let delta = IMutex::new(Shard::new(AnalysisSuite::new(2)));
+            let conn = ConnStats::new(0, "bench".to_string());
+            let stats = ServerStats::new();
             while let Some(frame) = Frame::read_from(&mut cursor).expect("clean wire") {
-                for line in batch_lines(&frame.payload) {
-                    line_no += 1;
-                    let text = std::str::from_utf8(line).expect("CSV lines are UTF-8");
-                    if schema
-                        .parse_view(&mut splitter, text, line_no)
-                        .map(|v| suite.ingest(ctx, &v))
-                        .is_ok()
-                    {
-                        ok += 1;
-                    }
-                }
+                proto::ingest_batch::<PolicyEngine>(
+                    &mut parser,
+                    &frame.payload,
+                    ctx,
+                    &delta,
+                    None,
+                    &conn,
+                    &stats,
+                );
             }
-            assert_eq!(ok, records.len() as u64);
-            black_box(suite.datasets().full)
+            let shard = delta.into_inner();
+            assert_eq!(shard.records, records.len() as u64);
+            black_box(shard.suite.datasets().full)
         })
     });
     let ingest = ParallelIngest::new(1);

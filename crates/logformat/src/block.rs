@@ -23,10 +23,13 @@
 //!   hold whole lines, a header straddling a block boundary cannot be
 //!   mis-read.
 //!
-//! Malformed-line semantics are identical to the streaming readers: lines
-//! are trimmed of trailing `\r`/`\n`, empty lines are skipped, UTF-8
+//! [`BlockParser`] is the only place the line rules live; file shards,
+//! `serve` frame payloads and in-memory buffers all parse through it. The
+//! rules: every trailing `\r` is trimmed, empty lines are skipped, UTF-8
 //! validity is checked *before* the `#` comment prefix (a corrupt comment
-//! counts as malformed), and CSV/width/field errors count per line.
+//! counts as malformed), `#` lines are otherwise skipped (`#Fields:`
+//! headers are the section scan's), CSV/width/field errors count per line,
+//! and line numbers count physical lines, skipped ones included.
 
 use crate::csv::{self, Span};
 use crate::scan;
@@ -259,8 +262,8 @@ impl BlockParser {
             if end == start {
                 continue;
             }
-            // Same order as the streaming readers: UTF-8 validity before the
-            // comment prefix, so a corrupt comment line counts as malformed.
+            // UTF-8 validity before the comment prefix, so a corrupt comment
+            // line counts as malformed.
             let Ok(text) = std::str::from_utf8(&block[start..end]) else {
                 malformed += 1;
                 continue;
@@ -356,9 +359,8 @@ pub fn scan_sections_with(path: &Path, block_bytes: usize) -> std::io::Result<Fi
                 while end > pos && block[end - 1] == b'\r' {
                     end -= 1;
                 }
-                // Mirrors `SchemaReader`: header handling only applies to
-                // valid UTF-8 lines (invalid UTF-8 is counted by the shard
-                // readers).
+                // Header handling only applies to valid UTF-8 lines
+                // (invalid UTF-8 is counted by the shard parsers).
                 if let Ok(text) = std::str::from_utf8(&block[pos..end]) {
                     if text[1..].trim_start().starts_with("Fields:") {
                         match Schema::from_header(text) {
@@ -517,7 +519,7 @@ mod tests {
     fn parser_matches_line_at_a_time_parse_view() {
         let mut data = sample_lines(10);
         data.push_str("# a comment line\n");
-        data.push_str("\n");
+        data.push('\n');
         data.push_str("garbage,line\n");
         data.push_str(&sample_lines(2));
         let schema = Schema::canonical();
@@ -568,6 +570,66 @@ mod tests {
         assert_eq!(views[1].user_agent, r#"agent "two", quoted"#);
         assert_eq!(views[0].to_record(), a);
         assert_eq!(views[1].to_record(), b);
+    }
+
+    #[test]
+    fn parser_applies_the_line_rules_to_raw_bytes() {
+        let good = sample_lines(1);
+        let good = good.trim_end();
+        let mut data = Vec::new();
+        // A record ending in `\r\r\n`: every trailing CR is trimmed.
+        data.extend_from_slice(format!("{good}\r\r\n").as_bytes());
+        // A lone CR line and a blank line are skipped, not malformed.
+        data.extend_from_slice(b"\r\n\n");
+        // Invalid UTF-8 fails that line only, comment or not.
+        data.extend_from_slice(b"garbage \xFF\xFE bytes in the middle\n");
+        data.extend_from_slice(b"#\xFF corrupt comment\n");
+        data.extend_from_slice(format!("{good}\n").as_bytes());
+        // A truncated, unterminated final line is malformed, not a panic.
+        data.extend_from_slice(&good.as_bytes()[..good.len() / 2]);
+        let mut parser = BlockParser::new();
+        let mut line_no = 0u64;
+        let (views, malformed) = parser.parse(&data, &Schema::canonical(), &mut line_no);
+        assert_eq!(malformed, 3);
+        assert_eq!(line_no, 7, "physical lines, skipped ones included");
+        assert_eq!(views.len(), 2);
+        for v in &views {
+            assert_eq!(v.to_record(), crate::parse_line(good, 1).unwrap());
+        }
+    }
+
+    #[test]
+    fn sections_parse_under_their_own_schema() {
+        // A mid-file `#Fields:` header switches the schema: the first record
+        // uses the canonical default, the second follows the header.
+        let canonical = sample_lines(1);
+        let data = format!(
+            "#Software: SGOS\n{canonical}#Fields: date time s-ip cs-host sc-filter-result\n\
+             2011-08-04,11:00:00,82.137.200.42,late.example,OBSERVED\n"
+        );
+        let path = write_temp("schema-switch", data.as_bytes());
+        let scan = scan_sections(&path).unwrap();
+        assert_eq!(scan.malformed_headers, 0);
+        let mut parser = BlockParser::new();
+        let mut records = Vec::new();
+        for (i, (start, schema)) in scan.sections.iter().enumerate() {
+            let end = scan.cuts.get(i).copied().unwrap_or(scan.bytes);
+            let mut reader = BlockReader::open(&path, *start, end, true, 64).unwrap();
+            let mut line_no = 0;
+            while let Some(block) = reader.next_block().unwrap() {
+                let (views, malformed) = parser.parse(block, schema, &mut line_no);
+                assert_eq!(malformed, 0);
+                records.extend(views.iter().map(|v| v.to_record()));
+            }
+        }
+        assert_eq!(records.len(), 2);
+        assert_eq!(
+            records[0],
+            crate::parse_line(canonical.trim_end(), 1).unwrap()
+        );
+        assert_eq!(records[1].host(), "late.example");
+        assert_eq!(records[1].timestamp.date().to_string(), "2011-08-04");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * **Hello** — sent once at connection start; the payload is a UTF-8
 //!   source label (`sg-42`, …) used by the server's metrics endpoint.
 //! * **Batch** — the payload is newline-separated canonical-schema ELFF
-//!   data lines (no `#` header lines). The server parses each line with
-//!   the zero-copy view parser straight out of the frame buffer.
+//!   data lines (no `#` header lines). The server parses the payload as one
+//!   block with [`crate::BlockParser`] straight out of the frame buffer,
+//!   under the same line rules as file ingest.
 //! * **Bye** — clean end of stream; the payload is empty. A connection
 //!   that ends without `Bye` is treated as a mid-stream disconnect
 //!   (everything already ingested is kept).

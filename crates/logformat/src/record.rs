@@ -3,8 +3,9 @@
 use crate::csv::{self, LineSplitter};
 use crate::enums::{ClientId, ExceptionId, FilterResult, Method, SAction, Scheme};
 use crate::fields::EMPTY;
+use crate::schema::Schema;
 use crate::url::RequestUrl;
-use crate::view::{self, RecordView, UrlView};
+use crate::view::{RecordView, UrlView};
 use filterscope_core::{ProxyId, Result, Timestamp};
 use std::net::Ipv4Addr;
 
@@ -215,12 +216,14 @@ impl LogRecord {
 /// Parse one CSV line into a [`LogRecord`] (canonical field order).
 ///
 /// `line_no` is used only for error reporting. Comment lines (starting with
-/// `#`) are the caller's responsibility — see [`crate::LogReader`]. For
-/// logs whose `#Fields:` header declares a different field order, see
-/// [`crate::schema::Schema`].
+/// `#`), blanks and line terminators are the caller's responsibility — byte
+/// input goes through [`crate::BlockParser`]. For logs whose `#Fields:`
+/// header declares a different field order, see [`crate::schema::Schema`].
 pub fn parse_line(line: &str, line_no: u64) -> Result<LogRecord> {
     let mut splitter = LineSplitter::new();
-    Ok(view::parse_view(&mut splitter, line, line_no)?.to_record())
+    Ok(Schema::canonical()
+        .parse_view(&mut splitter, line, line_no)?
+        .to_record())
 }
 
 /// A builder with sensible defaults for synthesizing records in tests and in

@@ -5,16 +5,15 @@
 //! extended, or reduced field sets. [`Schema`] maps a declared field order
 //! onto the canonical [`crate::LogRecord`]: known fields land in their
 //! typed slots, unknown fields are skipped, and absent optional fields take
-//! their defaults. [`SchemaReader`] streams a whole file, switching schemas
-//! whenever a new `#Fields:` header appears mid-file (log rotation
-//! concatenation does this in practice).
+//! their defaults. A file may switch schemas whenever a new `#Fields:`
+//! header appears mid-file (log rotation concatenation does this in
+//! practice); [`crate::scan_sections`] finds those switches and
+//! [`crate::BlockParser`] parses each section under its own schema.
 
 use crate::csv::LineSplitter;
 use crate::fields::{FIELDS, FIELD_COUNT};
-use crate::record::LogRecord;
 use crate::view::{self, RecordView};
 use filterscope_core::{Error, Result};
-use std::io::BufRead;
 
 /// Aliases accepted for canonical field names (ELFF spells some fields with
 /// parenthesized header names, e.g. `cs(User-Agent)`).
@@ -114,16 +113,11 @@ impl Schema {
         self.positions.get(canonical).copied().flatten()
     }
 
-    /// Parse one data line under this schema.
-    pub fn parse_record(&self, line: &str, line_no: u64) -> Result<LogRecord> {
-        let mut splitter = LineSplitter::new();
-        Ok(self.parse_view(&mut splitter, line, line_no)?.to_record())
-    }
-
     /// Parse one data line under this schema into a zero-copy
     /// [`RecordView`] borrowing from `line` (and the splitter's scratch
-    /// space). The hot ingest path; [`Schema::parse_record`] materializes
-    /// from it.
+    /// space); [`RecordView::to_record`] materializes an owned record.
+    /// Line rules (terminators, blanks, comments, UTF-8) are the caller's:
+    /// byte input goes through [`crate::BlockParser`].
     pub fn parse_view<'a>(
         &self,
         splitter: &'a mut LineSplitter,
@@ -145,123 +139,25 @@ impl Schema {
             )));
         }
         view::build_view(
-            &|canonical| {
-                self.positions
-                    .get(canonical)
-                    .copied()
-                    .flatten()
-                    .and_then(|col| fields.get(col))
-            },
+            &|canonical| self.col(canonical).and_then(|col| fields.get(col)),
             line_no,
         )
-    }
-}
-
-/// Streaming reader that follows the file's own `#Fields:` headers.
-pub struct SchemaReader<R> {
-    inner: R,
-    schema: Schema,
-    line_no: u64,
-    buf: Vec<u8>,
-    errors_seen: u64,
-}
-
-impl<R: BufRead> SchemaReader<R> {
-    /// Start with the canonical schema until a header says otherwise.
-    pub fn new(inner: R) -> Self {
-        SchemaReader {
-            inner,
-            schema: Schema::canonical(),
-            line_no: 0,
-            buf: Vec::new(),
-            errors_seen: 0,
-        }
-    }
-
-    /// The schema currently in effect.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Malformed lines seen so far.
-    pub fn errors_seen(&self) -> u64 {
-        self.errors_seen
-    }
-
-    /// Next record, honoring in-file schema switches. Semantics match
-    /// [`crate::LogReader::next_record`].
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
-        loop {
-            self.buf.clear();
-            let n = self.inner.read_until(b'\n', &mut self.buf)?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let mut end = self.buf.len();
-            while end > 0 && (self.buf[end - 1] == b'\n' || self.buf[end - 1] == b'\r') {
-                end -= 1;
-            }
-            let bytes = &self.buf[..end];
-            if bytes.is_empty() {
-                continue;
-            }
-            let Ok(line) = std::str::from_utf8(bytes) else {
-                self.errors_seen += 1;
-                return Err(Error::MalformedRecord {
-                    line: self.line_no,
-                    reason: "invalid UTF-8".into(),
-                });
-            };
-            if let Some(stripped) = line.strip_prefix('#') {
-                if stripped.trim_start().starts_with("Fields:") {
-                    match Schema::from_header(line) {
-                        Ok(s) => self.schema = s,
-                        Err(_) => self.errors_seen += 1,
-                    }
-                }
-                continue;
-            }
-            match self.schema.parse_record(line, self.line_no) {
-                Ok(r) => return Ok(Some(r)),
-                Err(e) => {
-                    self.errors_seen += 1;
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Collect every parseable record, counting malformed lines.
-    pub fn read_all_lossy(mut self) -> (Vec<LogRecord>, u64) {
-        let mut out = Vec::new();
-        loop {
-            match self.next_record() {
-                Ok(Some(r)) => out.push(r),
-                Ok(None) => break,
-                Err(_) => continue,
-            }
-        }
-        (out, self.errors_seen)
-    }
-}
-
-impl<R: BufRead> Iterator for SchemaReader<R> {
-    type Item = Result<LogRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordBuilder;
+    use crate::record::{LogRecord, RecordBuilder};
     use crate::url::RequestUrl;
     use crate::ExceptionId;
     use filterscope_core::{ProxyId, Timestamp};
-    use std::io::Cursor;
+
+    fn parse(schema: &Schema, line: &str) -> Result<LogRecord> {
+        Ok(schema
+            .parse_view(&mut LineSplitter::new(), line, 1)?
+            .to_record())
+    }
 
     fn sample() -> LogRecord {
         RecordBuilder::new(
@@ -278,7 +174,7 @@ mod tests {
         let rec = sample();
         let line = rec.write_csv();
         let s = Schema::canonical();
-        assert_eq!(s.parse_record(&line, 1).unwrap(), rec);
+        assert_eq!(parse(&s, &line).unwrap(), rec);
     }
 
     #[test]
@@ -286,12 +182,11 @@ mod tests {
         let header = "#Fields: date time s-ip cs-host sc-filter-result x-exception-id cs-uri-path";
         let s = Schema::from_header(header).unwrap();
         assert_eq!(s.width, 7);
-        let rec = s
-            .parse_record(
-                "2011-08-03,10:30:00,82.137.200.44,metacafe.com,DENIED,policy_denied,/watch/9",
-                1,
-            )
-            .unwrap();
+        let rec = parse(
+            &s,
+            "2011-08-03,10:30:00,82.137.200.44,metacafe.com,DENIED,policy_denied,/watch/9",
+        )
+        .unwrap();
         assert_eq!(rec.host(), "metacafe.com");
         assert_eq!(rec.exception, ExceptionId::PolicyDenied);
         assert_eq!(rec.url.path, "/watch/9");
@@ -307,12 +202,11 @@ mod tests {
         let header =
             "#Fields: date time s-ip cs-host sc-filter-result cs(User-Agent) rs(Content-Type) cs-uri-extension";
         let s = Schema::from_header(header).unwrap();
-        let rec = s
-            .parse_record(
-                r#"2011-08-03,10:30:00,82.137.200.42,x.com,OBSERVED,"Mozilla/4.0 (compatible, MSIE)",text/html,php"#,
-                1,
-            )
-            .unwrap();
+        let rec = parse(
+            &s,
+            r#"2011-08-03,10:30:00,82.137.200.42,x.com,OBSERVED,"Mozilla/4.0 (compatible, MSIE)",text/html,php"#,
+        )
+        .unwrap();
         assert_eq!(rec.user_agent, "Mozilla/4.0 (compatible, MSIE)");
         assert_eq!(rec.content_type, "text/html");
         assert_eq!(rec.uri_ext, "php");
@@ -322,12 +216,11 @@ mod tests {
     fn unknown_fields_are_skipped() {
         let header = "#Fields: date time s-ip x-bluecoat-special cs-host sc-filter-result";
         let s = Schema::from_header(header).unwrap();
-        let rec = s
-            .parse_record(
-                "2011-08-03,10:30:00,82.137.200.42,whatever,x.com,OBSERVED",
-                1,
-            )
-            .unwrap();
+        let rec = parse(
+            &s,
+            "2011-08-03,10:30:00,82.137.200.42,whatever,x.com,OBSERVED",
+        )
+        .unwrap();
         assert_eq!(rec.host(), "x.com");
     }
 
@@ -339,43 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn reader_switches_schema_mid_file() {
-        let rec = sample();
-        let canonical_line = rec.write_csv();
-        let data = format!(
-            "#Software: SGOS\n{}\n#Fields: date time s-ip cs-host sc-filter-result\n\
-             2011-08-04,11:00:00,82.137.200.42,late.example,OBSERVED\n",
-            canonical_line
-        );
-        // The first record uses the canonical default; the second follows
-        // the in-file header.
-        let reader = SchemaReader::new(Cursor::new(data));
-        let (records, bad) = reader.read_all_lossy();
-        assert_eq!(bad, 0);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], rec);
-        assert_eq!(records[1].host(), "late.example");
-        assert_eq!(records[1].timestamp.date().to_string(), "2011-08-04");
-    }
-
-    #[test]
     fn wrong_width_line_is_an_error() {
         let s = Schema::from_header("#Fields: date time s-ip cs-host sc-filter-result").unwrap();
-        assert!(s
-            .parse_record("2011-08-03,10:30:00,82.137.200.42", 1)
-            .is_err());
+        assert!(parse(&s, "2011-08-03,10:30:00,82.137.200.42").is_err());
     }
 
     #[test]
     fn duplicate_field_first_declaration_wins() {
         let s = Schema::from_header("#Fields: date time s-ip cs-host cs-host sc-filter-result")
             .unwrap();
-        let rec = s
-            .parse_record(
-                "2011-08-03,10:30:00,82.137.200.42,first.example,second.example,OBSERVED",
-                1,
-            )
-            .unwrap();
+        let rec = parse(
+            &s,
+            "2011-08-03,10:30:00,82.137.200.42,first.example,second.example,OBSERVED",
+        )
+        .unwrap();
         assert_eq!(rec.host(), "first.example");
     }
 }

@@ -14,9 +14,8 @@
 //! a view when ownership is genuinely needed. The owned parsers delegate
 //! to the view parser, so the two can never drift apart.
 
-use crate::csv::LineSplitter;
 use crate::enums::{ClientId, ExceptionId, FilterResult, Method, SAction, Scheme};
-use crate::fields::{idx, EMPTY, FIELD_COUNT};
+use crate::fields::{idx, EMPTY};
 use crate::record::LogRecord;
 use crate::url::{self, RequestUrl};
 use filterscope_core::{Error, ProxyId, Result, Timestamp};
@@ -212,30 +211,6 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// Parse one canonical-order CSV line into a [`RecordView`] borrowing from
-/// `line` (and `splitter`'s scratch space). The borrowed counterpart of
-/// [`crate::parse_line`].
-pub fn parse_view<'a>(
-    splitter: &'a mut LineSplitter,
-    line: &'a str,
-    line_no: u64,
-) -> Result<RecordView<'a>> {
-    let mal = |reason: String| Error::MalformedRecord {
-        line: line_no,
-        reason,
-    };
-    let fields = splitter
-        .split(line)
-        .ok_or_else(|| mal("bad CSV quoting".into()))?;
-    if fields.len() != FIELD_COUNT {
-        return Err(mal(format!(
-            "expected {FIELD_COUNT} fields, got {}",
-            fields.len()
-        )));
-    }
-    build_view(&|canonical| fields.get(canonical), line_no)
-}
-
 /// The `-` → empty mapping applied to optional free-text fields.
 fn opt(s: &str) -> &str {
     if s == EMPTY {
@@ -336,7 +311,9 @@ pub(crate) fn build_view<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::LineSplitter;
     use crate::record::{parse_line, RecordBuilder};
+    use crate::schema::Schema;
     use filterscope_core::ProxyId;
 
     fn ts() -> Timestamp {
@@ -360,7 +337,9 @@ mod tests {
         let line = rec.write_csv();
         let owned = parse_line(&line, 1).unwrap();
         let mut splitter = LineSplitter::new();
-        let view = parse_view(&mut splitter, &line, 1).unwrap();
+        let view = Schema::canonical()
+            .parse_view(&mut splitter, &line, 1)
+            .unwrap();
         assert_eq!(view.to_record(), owned);
         assert_eq!(view, owned.as_view());
     }
@@ -419,10 +398,14 @@ mod tests {
     #[test]
     fn view_rejects_what_owned_rejects() {
         let mut splitter = LineSplitter::new();
-        assert!(parse_view(&mut splitter, "a,b,c", 7).is_err());
+        assert!(Schema::canonical()
+            .parse_view(&mut splitter, "a,b,c", 7)
+            .is_err());
         let good = sample().write_csv();
         let bad_date = good.replacen("2011-08-03", "2011-13-03", 1);
-        assert!(parse_view(&mut splitter, &bad_date, 1).is_err());
+        assert!(Schema::canonical()
+            .parse_view(&mut splitter, &bad_date, 1)
+            .is_err());
     }
 
     #[test]
@@ -432,7 +415,9 @@ mod tests {
             .build();
         let line = rec.write_csv();
         let mut splitter = LineSplitter::new();
-        let view = parse_view(&mut splitter, &line, 1).unwrap();
+        let view = Schema::canonical()
+            .parse_view(&mut splitter, &line, 1)
+            .unwrap();
         assert_eq!(view.user_agent, r#"quote " inside, and commas"#);
         assert_eq!(view.to_record(), rec);
     }

@@ -4,7 +4,7 @@
 use filterscope_core::{ProxyId, Timestamp};
 use filterscope_logformat::fields::FIELDS;
 use filterscope_logformat::record::RecordBuilder;
-use filterscope_logformat::{csv, parse_line, RequestUrl, Schema};
+use filterscope_logformat::{csv, parse_line, LineSplitter, RequestUrl, Schema};
 use proptest::prelude::*;
 
 fn sample_record_line() -> String {
@@ -44,7 +44,10 @@ proptest! {
             &perm.iter().map(|i| cells[*i].clone()).collect::<Vec<_>>(),
         );
         let schema = Schema::from_header(&header).unwrap();
-        let parsed = schema.parse_record(&shuffled_line, 1).unwrap();
+        let parsed = schema
+            .parse_view(&mut LineSplitter::new(), &shuffled_line, 1)
+            .unwrap()
+            .to_record();
         prop_assert_eq!(parsed, canonical);
     }
 

@@ -1,14 +1,12 @@
 //! Property tests: the owned parser ([`parse_line`]) and the borrowed view
-//! parser ([`parse_view`]) agree field-for-field — on well-formed lines and
-//! on arbitrary (mostly malformed) input. Both delegate to the same
-//! `build_view` internally; these tests pin that contract from the outside
-//! so the two entry points can never drift apart.
+//! parser ([`Schema::parse_view`]) agree field-for-field — on well-formed
+//! lines and on arbitrary (mostly malformed) input. `parse_line`
+//! materializes the canonical view; these tests pin that contract from the
+//! outside so the two entry points can never drift apart.
 
 use filterscope_core::{ProxyId, Timestamp};
 use filterscope_logformat::record::RecordBuilder;
-use filterscope_logformat::{
-    parse_line, parse_view, ClientId, ExceptionId, LineSplitter, RequestUrl,
-};
+use filterscope_logformat::{parse_line, ClientId, ExceptionId, LineSplitter, RequestUrl, Schema};
 use proptest::prelude::*;
 
 fn arb_exception() -> impl Strategy<Value = ExceptionId> {
@@ -65,7 +63,7 @@ proptest! {
 
         let owned = parse_line(&line, 1).unwrap();
         let mut splitter = LineSplitter::new();
-        let view = parse_view(&mut splitter, &line, 1).unwrap();
+        let view = Schema::canonical().parse_view(&mut splitter, &line, 1).unwrap();
 
         // The materialized view is the owned record, field for field.
         prop_assert_eq!(&view.to_record(), &owned);
@@ -108,7 +106,7 @@ proptest! {
     fn view_and_owned_agree_on_arbitrary_lines(line in "[ -~,\"]{0,200}") {
         let owned = parse_line(&line, 7);
         let mut splitter = LineSplitter::new();
-        let view = parse_view(&mut splitter, &line, 7);
+        let view = Schema::canonical().parse_view(&mut splitter, &line, 7);
         match (owned, view) {
             (Ok(rec), Ok(v)) => prop_assert_eq!(rec, v.to_record()),
             (Err(_), Err(_)) => {}

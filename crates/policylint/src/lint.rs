@@ -601,9 +601,11 @@ mod tests {
         farm.proxies.pop();
         assert_eq!(codes(&lint_farm(&farm)), vec!["farm-size"]);
 
-        let mut farm = FarmConfig::default();
-        farm.error_per_cent_mille = 99_000;
-        farm.proxied_per_cent_mille = 2_000;
+        let farm = FarmConfig {
+            error_per_cent_mille: 99_000,
+            proxied_per_cent_mille: 2_000,
+            ..FarmConfig::default()
+        };
         assert_eq!(codes(&lint_farm(&farm)), vec!["rate-overflow"]);
     }
 }

@@ -308,7 +308,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let connections = 3usize;
-        let (summary, received) = std::thread::scope(|s| {
+        let (summary, mut received) = std::thread::scope(|s| {
             let accept = s.spawn(move || {
                 let mut got: Vec<String> = Vec::new();
                 for _ in 0..connections {
@@ -354,8 +354,6 @@ mod tests {
             "partition must cover every line"
         );
         // Same multiset of lines (ordering interleaves across connections).
-        let mut received = received;
-        let mut expected = expected;
         received.sort();
         expected.sort();
         assert_eq!(received, expected);

@@ -35,8 +35,7 @@
 use std::sync::Arc;
 
 use filterscope_analysis::{classify_mechanism_view, AnalysisContext, AnalysisSuite};
-use filterscope_logformat::frame::batch_lines;
-use filterscope_logformat::{LineSplitter, RequestUrl, Schema};
+use filterscope_logformat::{BlockParser, RequestUrl, Schema};
 use filterscope_proxy::{Decision, PolicyEngine};
 use interleave::{IMutex, IReceiver, Ordering};
 
@@ -86,12 +85,13 @@ impl Decide for PolicyEngine {
     }
 }
 
-/// The per-worker line parsing state: schema, splitter scratch, and the
-/// running line number (for parse-error positions), bundled so the batch
-/// ingest signature stays small.
+/// The per-worker parsing state: the canonical schema, the reusable
+/// [`BlockParser`] every frame payload goes through (the same line rules as
+/// file ingest), and the running physical-line number, bundled so the
+/// batch ingest signature stays small.
 pub struct LineParser {
     schema: Schema,
-    splitter: LineSplitter,
+    block: BlockParser,
     line_no: u64,
 }
 
@@ -99,7 +99,7 @@ impl LineParser {
     pub fn new() -> LineParser {
         LineParser {
             schema: Schema::canonical(),
-            splitter: LineSplitter::new(),
+            block: BlockParser::new(),
             line_no: 0,
         }
     }
@@ -123,10 +123,11 @@ pub struct BatchOutcome {
 }
 
 /// Parse one queued batch payload and ingest it into this connection's
-/// delta shard. All counter updates — the shard's exact counts, the
-/// connection and daemon totals, and the max record timestamp — happen
-/// under the delta lock, so a fold that merged these records also
-/// observes their counts and their timestamp.
+/// delta shard. A payload holds whole lines, so it is parsed as one block
+/// by [`BlockParser`] — before the delta lock is taken. All counter updates
+/// — the shard's exact counts, the connection and daemon totals, and the
+/// max record timestamp — happen under the delta lock, so a fold that
+/// merged these records also observes their counts and their timestamp.
 ///
 /// The `engine` is whatever the caller pinned for this batch (see
 /// [`run_worker`]); passing it per batch rather than reading it per
@@ -141,44 +142,31 @@ pub fn ingest_batch<E: Decide>(
     conn: &ConnStats,
     stats: &ServerStats,
 ) -> BatchOutcome {
-    let mut out = BatchOutcome::default();
+    let (views, parse_errors) = parser
+        .block
+        .parse(payload, &parser.schema, &mut parser.line_no);
+    let mut out = BatchOutcome {
+        records: views.len() as u64,
+        parse_errors,
+        ..BatchOutcome::default()
+    };
     let mut mechanism = [0u64; 4];
     let mut max_ts = 0u64;
-    let mut shard = delta.lock();
-    for line in batch_lines(payload) {
-        parser.line_no += 1;
-        // Same order as the file ingest path: UTF-8 validity is checked
-        // before the comment prefix, so a corrupt comment line counts as
-        // a parse error.
-        let Ok(text) = std::str::from_utf8(line) else {
-            out.parse_errors += 1;
-            continue;
-        };
-        if text.starts_with('#') {
-            continue;
-        }
-        match parser
-            .schema
-            .parse_view(&mut parser.splitter, text, parser.line_no)
-        {
-            Ok(view) => {
-                if let Some(engine) = engine {
-                    match engine.decide_url(&view.url.to_url()) {
-                        Decision::Allow => out.allowed += 1,
-                        Decision::Deny(_) => out.denied += 1,
-                        Decision::Redirect(_) => out.redirected += 1,
-                    }
-                }
-                if let Some(kind) = classify_mechanism_view(&view) {
-                    mechanism[kind.index()] += 1;
-                }
-                max_ts = max_ts.max(view.timestamp.epoch_seconds() as u64);
-                shard.suite.ingest(ctx, &view);
-                out.records += 1;
+    for view in &views {
+        if let Some(engine) = engine {
+            match engine.decide_url(&view.url.to_url()) {
+                Decision::Allow => out.allowed += 1,
+                Decision::Deny(_) => out.denied += 1,
+                Decision::Redirect(_) => out.redirected += 1,
             }
-            Err(_) => out.parse_errors += 1,
         }
+        if let Some(kind) = classify_mechanism_view(view) {
+            mechanism[kind.index()] += 1;
+        }
+        max_ts = max_ts.max(view.timestamp.epoch_seconds() as u64);
     }
+    let mut shard = delta.lock();
+    shard.suite.ingest_block(ctx, &views);
     shard.records += out.records;
     shard.parse_errors += out.parse_errors;
     conn.records.fetch_add(out.records, Ordering::SeqCst);

@@ -749,7 +749,7 @@ mod tests {
             let b = RecordBuilder::new(
                 filterscope_core::Timestamp::parse_fields("2011-08-03", &time).unwrap(),
                 filterscope_core::ProxyId::Sg42,
-                RequestUrl::http(&format!("host{}.example.com", i % 7), &format!("/p{i}")),
+                RequestUrl::http(format!("host{}.example.com", i % 7), format!("/p{i}")),
             );
             let b = if i % 3 == 0 { b.policy_denied() } else { b };
             out.push_str(&b.build().write_csv());

@@ -43,7 +43,7 @@ fn line(i: usize) -> String {
     RecordBuilder::new(
         Timestamp::parse_fields("2011-08-03", &format!("10:00:{i:02}")).unwrap(),
         ProxyId::Sg42,
-        RequestUrl::http(&format!("host{i}.example.com"), &format!("/p{i}")),
+        RequestUrl::http(format!("host{i}.example.com"), format!("/p{i}")),
     )
     .build()
     .write_csv()

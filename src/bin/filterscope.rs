@@ -27,7 +27,6 @@ use filterscope::core::progress::fmt_secs;
 use filterscope::core::{pool, Json, Progress};
 use filterscope::logformat::fields::header_line;
 use filterscope::logformat::RecordView;
-use filterscope::logformat::SchemaReader;
 use filterscope::policylint::{
     check_equivalence, lint_farm, lint_policy, skew_matrix, verify_artifact, LintReport,
 };
@@ -43,7 +42,7 @@ use filterscope::stream::{
 use filterscope::synth::corpus::DayShard;
 use filterscope::synth::{censor_preset, CENSOR_NAMES};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -338,28 +337,6 @@ fn write_corpus(
         i += plan[i].shards;
     }
     Ok(days)
-}
-
-fn ingest_files<F: FnMut(&LogRecord)>(paths: &[String], mut visit: F) -> Result<u64, ExitCode> {
-    if paths.is_empty() {
-        return Err(usage());
-    }
-    let mut malformed = 0u64;
-    for p in paths {
-        let file = File::open(Path::new(p)).map_err(|e| {
-            eprintln!("cannot open {p}: {e}");
-            ExitCode::FAILURE
-        })?;
-        let mut reader = SchemaReader::new(BufReader::new(file));
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => visit(&rec),
-                Ok(None) => break,
-                Err(_) => malformed += 1,
-            }
-        }
-    }
-    Ok(malformed)
 }
 
 /// Build the analysis context, honoring `--geo` / `--categories` registry
@@ -1036,10 +1013,18 @@ fn cmd_compare(args: &Args) -> ExitCode {
         return usage();
     };
     let ctx = AnalysisContext::standard(None);
+    let ingest = ingest_driver(pool::available_threads(), "compare");
     let load = |path: &str| -> Result<AnalysisSuite, ExitCode> {
-        let mut suite = AnalysisSuite::new(min_support);
-        ingest_files(&[path.to_string()], |r| suite.ingest(&ctx, &r.as_view()))?;
-        Ok(suite)
+        match ingest.ingest_suite(&[PathBuf::from(path)], &ctx, min_support) {
+            Ok((suite, stats)) => {
+                eprintln!("{}", stats.render());
+                Ok(suite)
+            }
+            Err(e) => {
+                eprintln!("compare failed: {e}");
+                Err(ExitCode::FAILURE)
+            }
+        }
     };
     let a = match load(path_a) {
         Ok(s) => s,

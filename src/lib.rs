@@ -64,9 +64,7 @@ pub mod prelude {
         Analysis, AnalysisContext, AnalysisSuite, Selection, SuiteParams,
     };
     pub use filterscope_core::{Date, ProxyId, Timestamp};
-    pub use filterscope_logformat::{
-        parse_line, LogReader, LogRecord, LogWriter, RequestClass, RequestUrl,
-    };
+    pub use filterscope_logformat::{parse_line, LogRecord, LogWriter, RequestClass, RequestUrl};
     pub use filterscope_proxy::{ProxyFarm, Request};
     pub use filterscope_synth::{Corpus, StudyPeriod, SynthConfig};
 }

@@ -123,6 +123,65 @@ fn weather_and_compare_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `compare` loads each side through the same sharded block ingest as
+/// `analyze`: on a log with a mid-file `#Fields:` switch, a corrupt
+/// comment and a truncated final line, both count the same records, and
+/// `compare` reports the malformed lines it skipped.
+#[test]
+fn compare_counts_records_like_analyze() {
+    use filterscope::prelude::*;
+    let dir = temp_dir("compare_counts");
+    let farm = ProxyFarm::standard();
+    let mut log = format!(
+        "#Software: SGOS 4.1.4\n{}\n",
+        filterscope::logformat::fields::header_line()
+    )
+    .into_bytes();
+    for (i, host) in ["example.com", "metacafe.com", "upload.youtube.com"]
+        .iter()
+        .enumerate()
+    {
+        let ts = Timestamp::parse_fields("2011-08-03", &format!("09:00:{i:02}")).unwrap();
+        let rec = farm.process(&Request::get(ts, RequestUrl::http(*host, "/p")));
+        log.extend_from_slice(format!("{}\n", rec.write_csv()).as_bytes());
+    }
+    log.extend_from_slice(b"#\xff corrupt comment\n");
+    log.extend_from_slice(b"#Fields: date time s-ip cs-host sc-filter-result\n");
+    log.extend_from_slice(b"2011-08-04,11:00:00,82.137.200.42,late.example,OBSERVED\n");
+    log.extend_from_slice(b"2011-08-04,11:00:01,82.137.200.47,later.example,DENIED\n");
+    log.extend_from_slice(b"2011-08-04,11:00:02,82.137.2");
+    let path = dir.join("mixed.log");
+    std::fs::write(&path, &log).unwrap();
+    let path = path.to_string_lossy().into_owned();
+
+    let out = bin()
+        .args(["compare", "--a", &path, "--b", &path])
+        .output()
+        .expect("run compare");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("A = {path} (5 records)")),
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("ingested 5 records from 1 file (2 malformed lines skipped)"),
+        "{stderr}"
+    );
+
+    let json_path = dir.join("summary.json");
+    let out = bin()
+        .args(["analyze", &path, "--json"])
+        .arg(&json_path)
+        .output()
+        .expect("run analyze");
+    assert!(out.status.success());
+    let json = std::fs::read_to_string(&json_path).expect("summary written");
+    assert!(json.contains("\"total_requests\": 5,"), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn policy_dump_is_valid_cpl() {
     let out = bin().arg("policy").output().expect("run policy");

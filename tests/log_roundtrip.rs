@@ -1,14 +1,21 @@
 //! Integration: a simulated day's log survives a full write→parse→analyze
 //! round trip, including through corrupted files.
 
-use filterscope::logformat::{LogReader, LogWriter, RequestClass};
+use filterscope::logformat::{BlockParser, LogWriter, RequestClass, Schema};
 use filterscope::prelude::*;
-use std::io::Cursor;
 
 fn one_day_records() -> Vec<LogRecord> {
     let corpus = Corpus::new(SynthConfig::new(262_144).expect("valid scale"));
     let day = corpus.config().period.days()[5]; // August 3, all proxies
     corpus.day_records(day)
+}
+
+/// Parse a whole log text through the block parser: owned records plus the
+/// malformed-line count.
+fn reread(text: &str) -> (Vec<LogRecord>, u64) {
+    let mut parser = BlockParser::new();
+    let (views, malformed) = parser.parse(text.as_bytes(), &Schema::canonical(), &mut 0);
+    (views.iter().map(|v| v.to_record()).collect(), malformed)
 }
 
 #[test]
@@ -24,7 +31,7 @@ fn simulated_day_roundtrips_through_disk_format() {
     let text = String::from_utf8(bytes).expect("log is valid UTF-8");
     assert!(text.starts_with("#Software"));
 
-    let (back, malformed) = LogReader::new(Cursor::new(&text)).read_all_lossy();
+    let (back, malformed) = reread(&text);
     assert_eq!(malformed, 0);
     assert_eq!(back, records, "round trip must be lossless");
 }
@@ -37,7 +44,7 @@ fn classification_is_preserved_across_roundtrip() {
         writer.write_record(r).expect("write");
     }
     let text = String::from_utf8(writer.into_inner().expect("flush")).unwrap();
-    let (back, _) = LogReader::new(Cursor::new(text)).read_all_lossy();
+    let (back, _) = reread(&text);
     for (a, b) in records.iter().zip(&back) {
         assert_eq!(RequestClass::of(a), RequestClass::of(b));
         assert_eq!(a.proxy(), b.proxy());
@@ -69,7 +76,7 @@ fn corrupted_log_degrades_per_record() {
         corrupted.push('\n');
     }
 
-    let (back, malformed) = LogReader::new(Cursor::new(corrupted)).read_all_lossy();
+    let (back, malformed) = reread(&corrupted);
     assert!(malformed > 0, "some lines must be corrupted");
     // Intact records parse; each corrupted line costs at most one record.
     assert!(back.len() + malformed as usize >= records.len());
@@ -91,10 +98,11 @@ fn analysis_of_reread_log_matches_direct_analysis() {
         writer.write_record(r).expect("write");
     }
     let text = String::from_utf8(writer.into_inner().expect("flush")).unwrap();
+    let mut parser = BlockParser::new();
+    let (views, malformed) = parser.parse(text.as_bytes(), &Schema::canonical(), &mut 0);
+    assert_eq!(malformed, 0, "clean log");
     let mut reread = AnalysisSuite::new(2);
-    for item in LogReader::new(Cursor::new(text)) {
-        reread.ingest(&ctx, &item.expect("clean log").as_view());
-    }
+    reread.ingest_block(&ctx, &views);
 
     assert_eq!(direct.datasets().full, reread.datasets().full);
     assert_eq!(

@@ -2,13 +2,20 @@
 //! over arbitrary frame sequences, and robustness of the decoder against
 //! truncation and corruption — every malformed input must surface as an
 //! error (or a shorter clean prefix), never a panic and never a bogus
-//! frame with a corrupted payload.
+//! frame with a corrupted payload. Plus serve ≡ analyze: a frame payload
+//! counts its records exactly as file ingest counts the same bytes.
 
-use filterscope::core::Error;
+use filterscope::core::{Error, Timestamp};
 use filterscope::logformat::frame::{batch_lines, Frame, HEADER_LEN, MAGIC};
-use filterscope::logformat::FrameKind;
+use filterscope::logformat::{BlockParser, FrameKind, Schema};
+use filterscope::prelude::*;
+use filterscope::proxy::PolicyEngine;
+use filterscope::stream::metrics::{ConnStats, ServerStats};
+use filterscope::stream::proto::{ingest_batch, LineParser, Shard};
+use interleave::IMutex;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Build a frame from a generated `(kind selector, payload)` spec.
 fn frame_from_spec(kind: u8, payload: Vec<u8>) -> Frame {
@@ -140,5 +147,93 @@ proptest! {
             .collect::<Vec<_>>()
             .concat();
         prop_assert_eq!(rebuilt, stripped);
+    }
+}
+
+/// Genuine farm-produced CSV lines (allowed, denied and redirected).
+fn valid_lines() -> &'static Vec<String> {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let farm = ProxyFarm::standard();
+        [
+            "example.com",
+            "metacafe.com",
+            "upload.youtube.com",
+            "1.2.3.4",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, host)| {
+            let ts = Timestamp::parse_fields("2011-08-03", &format!("09:00:{i:02}"))
+                .expect("static literal");
+            farm.process(&Request::get(ts, RequestUrl::http(*host, "/some/path")))
+                .write_csv()
+        })
+        .collect()
+    })
+}
+
+fn ctx() -> &'static AnalysisContext {
+    static CTX: OnceLock<AnalysisContext> = OnceLock::new();
+    CTX.get_or_init(|| AnalysisContext::standard(None))
+}
+
+/// One payload piece: a valid record line under one of the terminators
+/// `\n`, `\r\n`, `\r\r\n`, `\n\n`, or a line that is not a record — a
+/// lone `\r`, a blank, a comment, a corrupt (non-UTF-8) comment, or
+/// printable garbage.
+fn arb_piece() -> impl Strategy<Value = Vec<u8>> {
+    let n = valid_lines().len();
+    prop_oneof![
+        (0..n, 0u8..4).prop_map(|(i, t)| {
+            let end: &[u8] = match t {
+                0 => b"\n",
+                1 => b"\r\n",
+                2 => b"\r\r\n",
+                _ => b"\n\n",
+            };
+            [valid_lines()[i].as_bytes(), end].concat()
+        }),
+        Just(b"\r\n".to_vec()),
+        Just(b"\n".to_vec()),
+        "#[ -~]{0,30}".prop_map(|c| format!("{c}\n").into_bytes()),
+        Just(b"#\xff\n".to_vec()),
+        "[ -~]{0,60}".prop_map(|g| format!("{g}\n").into_bytes()),
+    ]
+}
+
+proptest! {
+    /// serve ≡ analyze: `ingest_batch` on a frame payload yields the same
+    /// record count, parse-error count and summary JSON as parsing the
+    /// same bytes with `BlockParser` and `ingest_block`, which is what
+    /// file ingest does.
+    #[test]
+    fn frame_ingest_counts_like_file_ingest(pieces in vec(arb_piece(), 0..24)) {
+        let payload = pieces.concat();
+        let ctx = ctx();
+
+        let delta = IMutex::new(Shard::new(AnalysisSuite::new(3)));
+        let out = ingest_batch::<PolicyEngine>(
+            &mut LineParser::new(),
+            &payload,
+            ctx,
+            &delta,
+            None,
+            &ConnStats::new(0, "prop".to_string()),
+            &ServerStats::new(),
+        );
+        let shard = delta.into_inner();
+
+        let mut parser = BlockParser::new();
+        let (views, malformed) = parser.parse(&payload, &Schema::canonical(), &mut 0);
+        let mut suite = AnalysisSuite::new(3);
+        suite.ingest_block(ctx, &views);
+
+        prop_assert_eq!(
+            (out.records, out.parse_errors),
+            (views.len() as u64, malformed)
+        );
+        prop_assert_eq!((shard.records, shard.parse_errors), (out.records, out.parse_errors));
+        prop_assert_eq!(shard.suite.summary_json(ctx), suite.summary_json(ctx));
     }
 }
