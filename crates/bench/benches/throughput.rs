@@ -135,37 +135,10 @@ fn bench_throughput(c: &mut Harness) {
         })
     });
 
-    // The batch decision API over the same requests: one scratch buffer
-    // for every tier-3 keyword scan instead of an allocation per request.
-    g.bench_function("policy_decisions_batched", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            out.clear();
-            engine.decide_batch(&cfg, &requests, &mut out);
-            black_box(out.iter().filter(|d| d.is_censored()).count())
-        })
-    });
-
-    // The same decisions through an engine deserialized from a compiled
-    // `FSCP` artifact — identical by construction (witness-gated), so any
-    // delta against `policy_decisions` is the cost/benefit of the
-    // compiled representation itself.
-    let artifact_bytes = artifact::compile(&PolicyData::standard(), 7, None);
-    let compiled = artifact::load(&artifact_bytes, None).unwrap();
-    g.bench_function("compiled_policy_decisions", |b| {
-        b.iter(|| {
-            let mut censored = 0u64;
-            for req in &requests {
-                if compiled.engine.decide(&cfg, req).is_censored() {
-                    censored += 1;
-                }
-            }
-            black_box(censored)
-        })
-    });
-
     // Startup cost of each path to a live engine: text parse + automaton
-    // build versus zero-parse artifact load (the daemon-restart story).
+    // build versus artifact load (container checks, then the same parse
+    // and build) — the daemon-restart story.
+    let artifact_bytes = artifact::compile(&PolicyData::standard(), 7);
     g.throughput(Throughput::Elements(1));
     g.bench_function("policy_startup_parse_build", |b| {
         b.iter(|| {

@@ -1,13 +1,13 @@
-//! Bounds-checked little-endian byte codec plus CRC-32, the substrate of
-//! the compiled policy artifact (`filterscope compile`).
+//! Bounds-checked little-endian byte codec plus CRC-32, shared by the
+//! policy artifact (`filterscope compile`), the analysis state codec and
+//! the snap-log.
 //!
-//! The workspace forbids `unsafe`, so a compiled artifact cannot be
-//! memory-mapped and reinterpreted in place; instead it is read once and
-//! decoded through [`ByteReader`], whose every access is bounds-checked
-//! and returns [`Result`] — a truncated or corrupt artifact surfaces as an
-//! error, never a panic or an out-of-bounds read. [`ByteWriter`] is the
-//! mirror image used at compile time. [`crc32`] is the CRC-32/ISO-HDLC
-//! (IEEE 802.3) checksum guarding each artifact section.
+//! Bytes are decoded through [`ByteReader`], whose every access is
+//! bounds-checked and returns [`Result`] — truncated or corrupt input
+//! surfaces as an error, never a panic or an out-of-bounds read.
+//! [`ByteWriter`] is the mirror image. [`crc32`] is the CRC-32/ISO-HDLC
+//! (IEEE 802.3) checksum guarding each artifact section and snap-log
+//! frame.
 
 use crate::error::{Error, Result};
 
@@ -98,11 +98,6 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Has every byte been consumed?
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Current read offset from the start of the slice.
     pub fn position(&self) -> usize {
         self.pos
@@ -167,7 +162,7 @@ impl<'a> ByteReader<'a> {
     /// Fail unless every byte was consumed — decoders call this last so
     /// trailing garbage is rejected rather than silently ignored.
     pub fn expect_exhausted(&self) -> Result<()> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(Error::InvalidConfig(format!(

@@ -12,6 +12,7 @@
 
 pub mod bytes;
 pub mod error;
+pub mod fs;
 pub mod intern;
 pub mod json;
 pub mod net;

@@ -12,8 +12,6 @@ use std::net::Ipv4Addr;
 pub struct CidrSet {
     /// Disjoint, sorted, merged `[start, end]` inclusive ranges.
     ranges: Vec<(u32, u32)>,
-    /// Number of blocks supplied at construction (pre-merge).
-    source_blocks: usize,
 }
 
 impl CidrSet {
@@ -24,7 +22,6 @@ impl CidrSet {
             .into_iter()
             .map(|b| (b.first_u32(), b.last_u32()))
             .collect();
-        let source_blocks = raw.len();
         raw.sort_unstable();
         let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(raw.len());
         for (s, e) in raw {
@@ -38,10 +35,7 @@ impl CidrSet {
                 _ => ranges.push((s, e)),
             }
         }
-        CidrSet {
-            ranges,
-            source_blocks,
-        }
+        CidrSet { ranges }
     }
 
     /// Parse a list of CIDR strings; any malformed entry fails the whole set.
@@ -111,11 +105,6 @@ impl CidrSet {
         self.ranges.len()
     }
 
-    /// Number of blocks supplied at construction.
-    pub fn source_block_count(&self) -> usize {
-        self.source_blocks
-    }
-
     /// Total number of addresses covered.
     pub fn address_count(&self) -> u64 {
         self.ranges
@@ -132,49 +121,6 @@ impl CidrSet {
     /// The merged `[start, end]` ranges, sorted and disjoint.
     pub fn ranges(&self) -> &[(u32, u32)] {
         &self.ranges
-    }
-
-    /// Serialize into `w` (see [`CidrSet::read_from`]).
-    pub fn write_into(&self, w: &mut filterscope_core::ByteWriter) {
-        w.put_u32(self.source_blocks as u32);
-        w.put_u32(self.ranges.len() as u32);
-        for &(s, e) in &self.ranges {
-            w.put_u32(s);
-            w.put_u32(e);
-        }
-    }
-
-    /// Deserialize, re-validating the construction invariant every query
-    /// relies on: ranges are well-formed (`start <= end`), sorted, and
-    /// pairwise disjoint with no mergeable adjacency. A serialized set
-    /// that violates it would answer `contains` wrongly, so loading fails
-    /// closed instead.
-    pub fn read_from(
-        r: &mut filterscope_core::ByteReader<'_>,
-    ) -> filterscope_core::Result<CidrSet> {
-        let bad =
-            |what: &str| filterscope_core::Error::InvalidConfig(format!("CIDR table: {what}"));
-        let source_blocks = r.get_u32()? as usize;
-        let count = r.get_u32()? as usize;
-        let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let (s, e) = (r.get_u32()?, r.get_u32()?);
-            if s > e {
-                return Err(bad("inverted range"));
-            }
-            if let Some(&(_, prev_e)) = ranges.last() {
-                // Disjoint AND non-adjacent: `from_blocks` would have
-                // merged `prev_e + 1 == s`, so a load must reject it too.
-                if u64::from(s) <= u64::from(prev_e) + 1 {
-                    return Err(bad("ranges out of order, overlapping, or unmerged"));
-                }
-            }
-            ranges.push((s, e));
-        }
-        Ok(CidrSet {
-            ranges,
-            source_blocks,
-        })
     }
 }
 
@@ -277,49 +223,6 @@ mod tests {
     #[test]
     fn rejects_malformed_block_list() {
         assert!(CidrSet::parse_blocks(["1.2.3.0/24", "oops"]).is_err());
-    }
-
-    #[test]
-    fn serialization_roundtrip_preserves_queries() {
-        use filterscope_core::{ByteReader, ByteWriter};
-        let s = set(&["84.229.0.0/16", "46.120.0.0/15", "212.150.0.0/16"]);
-        let mut w = ByteWriter::new();
-        s.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = CidrSet::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back.ranges(), s.ranges());
-        assert_eq!(back.source_block_count(), s.source_block_count());
-        assert!(back.contains(ip("84.229.13.7")));
-        assert!(!back.contains(ip("8.8.8.8")));
-    }
-
-    #[test]
-    fn corrupt_range_tables_fail_closed() {
-        use filterscope_core::{ByteReader, ByteWriter};
-        let s = set(&["84.229.0.0/16", "46.120.0.0/15"]);
-        let mut w = ByteWriter::new();
-        s.write_into(&mut w);
-        let bytes = w.into_bytes();
-        // Truncations error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                CidrSet::read_from(&mut ByteReader::new(&bytes[..cut])).is_err(),
-                "cut {cut}"
-            );
-        }
-        // An inverted range is rejected.
-        let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // first range start
-        assert!(CidrSet::read_from(&mut ByteReader::new(&bad)).is_err());
-        // Out-of-order / overlapping ranges are rejected (swap the pairs).
-        let mut swapped = bytes.clone();
-        let (a, b) = (8usize, 16usize);
-        for i in 0..8 {
-            swapped.swap(a + i, b + i);
-        }
-        assert!(CidrSet::read_from(&mut ByteReader::new(&swapped)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dense DFA form of the keyword automaton, precomputed for the compiled
-//! policy artifact.
+//! Dense DFA form of the keyword automaton, the form the policy engine
+//! scans with.
 //!
 //! [`crate::AhoCorasick`] resolves each input byte with a binary search
 //! over sparse edges plus a failure-link walk — cheap to build, but two
@@ -8,19 +8,13 @@
 //! failure function: one table lookup per byte, no failure walks, with
 //! ASCII case folding baked into a 256-entry byte-class table. Byte
 //! classes (all bytes no pattern uses share one class) keep the
-//! transition table small enough to serialize into the artifact and stay
-//! cache-resident.
+//! transition table small enough to stay cache-resident.
 //!
 //! `AcDfa::is_match` is decision-identical to `AhoCorasick::is_match` by
 //! construction (property-tested), which is what lets the policy engine
 //! swap one for the other without the witness-equivalence gate noticing.
 
 use crate::aho_corasick::{AhoCorasick, AhoCorasickBuilder};
-use filterscope_core::{ByteReader, ByteWriter, Error, Result};
-
-/// Hard ceiling on `states × classes` accepted from a serialized artifact,
-/// so a corrupt header cannot make the loader allocate unbounded memory.
-const MAX_TABLE_ENTRIES: usize = 1 << 26;
 
 /// A fully tabulated Aho–Corasick DFA (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,64 +120,6 @@ impl AcDfa {
     pub fn class_count(&self) -> usize {
         self.class_count as usize
     }
-
-    /// Serialize into `w` (see [`AcDfa::read_from`] for the layout).
-    pub fn write_into(&self, w: &mut ByteWriter) {
-        w.put_u32(self.state_count);
-        w.put_u32(self.class_count);
-        w.put_raw(&self.classes[..]);
-        for &t in &self.trans {
-            w.put_u32(t);
-        }
-        for &m in &self.matches {
-            w.put_u8(u8::from(m));
-        }
-    }
-
-    /// Deserialize, validating every invariant the matcher relies on:
-    /// table dimensions within the allocation ceiling, every class id
-    /// below `class_count`, every transition target below `state_count`.
-    /// Any violation fails closed with [`Error::InvalidConfig`].
-    pub fn read_from(r: &mut ByteReader<'_>) -> Result<AcDfa> {
-        let bad = |what: &str| Error::InvalidConfig(format!("keyword DFA: {what}"));
-        let state_count = r.get_u32()?;
-        let class_count = r.get_u32()?;
-        if state_count == 0 || class_count == 0 {
-            return Err(bad("empty state or class space"));
-        }
-        let entries = (state_count as usize)
-            .checked_mul(class_count as usize)
-            .filter(|&n| n <= MAX_TABLE_ENTRIES)
-            .ok_or_else(|| bad("transition table exceeds the size ceiling"))?;
-        let mut classes = Box::new([0u8; 256]);
-        classes.copy_from_slice(r.get_raw(256)?);
-        if classes.iter().any(|&c| u32::from(c) >= class_count) {
-            return Err(bad("byte class out of range"));
-        }
-        let mut trans = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            let t = r.get_u32()?;
-            if t >= state_count {
-                return Err(bad("transition target out of range"));
-            }
-            trans.push(t);
-        }
-        let mut matches = Vec::with_capacity(state_count as usize);
-        for _ in 0..state_count {
-            match r.get_u8()? {
-                0 => matches.push(false),
-                1 => matches.push(true),
-                _ => return Err(bad("match flag is not 0/1")),
-            }
-        }
-        Ok(AcDfa {
-            classes,
-            class_count,
-            state_count,
-            trans,
-            matches,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -263,42 +199,5 @@ mod tests {
         let (_, dfa) = dfa(&["abc"], false);
         // 3 used bytes + 1 shared unused class.
         assert_eq!(dfa.class_count(), 4);
-    }
-
-    #[test]
-    fn serialization_roundtrip_is_identity() {
-        let (_, dfa) = dfa(&["proxy", "israel", "ultra"], true);
-        let mut w = ByteWriter::new();
-        dfa.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = AcDfa::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(dfa, back);
-    }
-
-    #[test]
-    fn corrupt_serializations_fail_closed() {
-        let (_, dfa) = dfa(&["proxy"], true);
-        let mut w = ByteWriter::new();
-        dfa.write_into(&mut w);
-        let bytes = w.into_bytes();
-        // Truncations at every prefix length must error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                AcDfa::read_from(&mut ByteReader::new(&bytes[..cut])).is_err(),
-                "cut {cut}"
-            );
-        }
-        // Oversize declared dimensions are rejected before allocating.
-        let mut huge = bytes.clone();
-        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(AcDfa::read_from(&mut ByteReader::new(&huge)).is_err());
-        // An out-of-range transition target is rejected.
-        let mut bad = bytes;
-        let trans_start = 4 + 4 + 256;
-        bad[trans_start..trans_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(AcDfa::read_from(&mut ByteReader::new(&bad)).is_err());
     }
 }

@@ -1,29 +1,22 @@
-//! Flat, serializable form of the domain-suffix blacklist.
+//! Flat form of the domain-suffix blacklist.
 //!
 //! [`crate::DomainTrie`] hangs `HashMap` nodes off each other — ideal for
-//! incremental inserts and the linter's shadowing queries, but it cannot
-//! be written into the compiled policy artifact, and every lookup hashes
-//! each label. [`DomainIndex`] is the same reversed-label automaton
-//! flattened DAFSA-style into three arrays: a pool of lowercased label
-//! bytes, a sorted edge table, and a node table of edge ranges. Lookups
-//! binary-search the node's edge run with allocation-free case-folded
-//! comparison, and the whole structure serializes as a handful of
-//! length-prefixed arrays.
+//! incremental inserts and the linter's shadowing queries, but every
+//! lookup hashes each label. [`DomainIndex`] is the same reversed-label
+//! automaton flattened DAFSA-style into three arrays: a pool of lowercased
+//! label bytes, a sorted edge table, and a node table of edge ranges.
+//! Lookups binary-search the node's edge run with allocation-free
+//! case-folded comparison.
 //!
 //! Matching semantics are identical to `DomainTrie` by construction
 //! (property-tested): labels walk right-to-left, the *shortest* covering
 //! suffix wins, ASCII case is ignored, one trailing host dot is
 //! tolerated, and leading entry dots are stripped.
 
-use filterscope_core::{ByteReader, ByteWriter, Error, Result};
 use std::collections::BTreeMap;
 
 /// Sentinel terminal value for "no entry ends at this node".
 const NO_ENTRY: u32 = u32::MAX;
-
-/// Allocation ceiling for deserialized tables (labels bytes, edge and
-/// node counts), so a corrupt length cannot trigger an absurd allocation.
-const MAX_TABLE: usize = 1 << 26;
 
 /// One labelled edge: `labels[off..off + len]` leads to node `child`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,85 +168,6 @@ impl DomainIndex {
     pub fn matches(&self, host: &str) -> bool {
         self.lookup(host).is_some()
     }
-
-    /// Serialize into `w` (see [`DomainIndex::read_from`]).
-    pub fn write_into(&self, w: &mut ByteWriter) {
-        w.put_u32(self.len as u32);
-        w.put_bytes(&self.labels);
-        w.put_u32(self.edges.len() as u32);
-        for e in &self.edges {
-            w.put_u32(e.off);
-            w.put_u16(e.len);
-            w.put_u32(e.child);
-        }
-        w.put_u32(self.nodes.len() as u32);
-        for n in &self.nodes {
-            w.put_u32(n.edge_start);
-            w.put_u32(n.edge_count);
-            w.put_u32(n.terminal);
-        }
-    }
-
-    /// Deserialize, validating every index: label slices inside the pool,
-    /// edge runs inside the edge table, children inside the node table,
-    /// terminals below the entry count. Violations fail closed.
-    pub fn read_from(r: &mut ByteReader<'_>) -> Result<DomainIndex> {
-        let bad = |what: &str| Error::InvalidConfig(format!("domain index: {what}"));
-        let len = r.get_u32()? as usize;
-        let labels = r.get_bytes()?.to_vec();
-        if labels.len() > MAX_TABLE {
-            return Err(bad("label pool exceeds the size ceiling"));
-        }
-        let edge_count = r.get_u32()? as usize;
-        if edge_count > MAX_TABLE {
-            return Err(bad("edge table exceeds the size ceiling"));
-        }
-        let mut edges = Vec::with_capacity(edge_count);
-        for _ in 0..edge_count {
-            let (off, elen, child) = (r.get_u32()?, r.get_u16()?, r.get_u32()?);
-            if off as usize + elen as usize > labels.len() {
-                return Err(bad("edge label outside the pool"));
-            }
-            edges.push(Edge {
-                off,
-                len: elen,
-                child,
-            });
-        }
-        let node_count = r.get_u32()? as usize;
-        if node_count == 0 || node_count > MAX_TABLE {
-            return Err(bad("node table empty or exceeds the size ceiling"));
-        }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let (edge_start, edge_count_n, terminal) = (r.get_u32()?, r.get_u32()?, r.get_u32()?);
-            let end = edge_start
-                .checked_add(edge_count_n)
-                .ok_or_else(|| bad("edge run overflows"))?;
-            if end as usize > edges.len() {
-                return Err(bad("edge run outside the edge table"));
-            }
-            if terminal != NO_ENTRY && terminal as usize >= len {
-                return Err(bad("terminal entry out of range"));
-            }
-            nodes.push(NodeRec {
-                edge_start,
-                edge_count: edge_count_n,
-                terminal,
-            });
-        }
-        for e in &edges {
-            if e.child as usize >= nodes.len() {
-                return Err(bad("edge child out of range"));
-            }
-        }
-        Ok(DomainIndex {
-            labels,
-            edges,
-            nodes,
-            len,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -317,38 +231,5 @@ mod tests {
         assert!(!index.matches("anything.com"));
         let index = DomainIndex::from_entries(["x.com"]);
         assert!(!index.matches(""));
-    }
-
-    #[test]
-    fn serialization_roundtrip_is_identity() {
-        let (_, index) = both(&["facebook.com", ".il", "skype.com", "co.il"]);
-        let mut w = ByteWriter::new();
-        index.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = DomainIndex::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(index, back);
-        assert!(back.matches("www.facebook.com"));
-        assert!(back.matches("panet.co.il"));
-        assert!(!back.matches("example.org"));
-    }
-
-    #[test]
-    fn corrupt_serializations_fail_closed() {
-        let index = DomainIndex::from_entries(["facebook.com", ".il"]);
-        let mut w = ByteWriter::new();
-        index.write_into(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                DomainIndex::read_from(&mut ByteReader::new(&bytes[..cut])).is_err(),
-                "cut {cut}"
-            );
-        }
-        // A label-pool length lying past the end is caught by the reader.
-        let mut bad = bytes.clone();
-        bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(DomainIndex::read_from(&mut ByteReader::new(&bad)).is_err());
     }
 }

@@ -13,10 +13,8 @@
 //! * [`CidrSet`] — sorted, merged interval set over IPv4 space for subnet
 //!   blacklists (the Israeli-subnet block of Table 12).
 //! * [`AcDfa`] / [`DomainIndex`] — dense-DFA and flat-array forms of the
-//!   first two, decision-identical by construction, built for the compiled
-//!   policy artifact (`filterscope compile`): all three hot structures
-//!   serialize through `filterscope_core::bytes` and deserialize with
-//!   fail-closed validation.
+//!   first two, decision-identical by construction; the policy engine
+//!   runs these.
 //! * [`naive`] — deliberately simple reference implementations used in
 //!   property tests and ablation benches.
 

@@ -1,7 +1,7 @@
 //! Property tests: the optimized engines agree with the naive references on
 //! arbitrary inputs.
 
-use filterscope_core::{ByteReader, ByteWriter, Ipv4Cidr};
+use filterscope_core::Ipv4Cidr;
 use filterscope_match::{naive, AcDfa, AhoCorasick, CidrSet, DomainIndex, DomainTrie};
 use proptest::prelude::*;
 
@@ -68,9 +68,8 @@ proptest! {
         );
     }
 
-    /// The dense DFA compiled for the policy artifact agrees with the
-    /// sparse automaton it was tabulated from, and survives a
-    /// serialization round trip unchanged.
+    /// The dense DFA the policy engine scans with agrees with the sparse
+    /// automaton it was tabulated from.
     #[test]
     fn ac_dfa_equals_automaton(
         patterns in proptest::collection::vec("[a-dA-D]{1,4}", 0..6),
@@ -81,22 +80,13 @@ proptest! {
             .ascii_case_insensitive(ci)
             .build(&patterns);
         let dfa = AcDfa::from_automaton(&ac);
-        let mut w = ByteWriter::new();
-        dfa.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = AcDfa::read_from(&mut r).unwrap();
-        prop_assert!(r.is_exhausted());
-        prop_assert_eq!(&dfa, &back);
         for hay in &haystacks {
-            let want = ac.is_match(hay.as_bytes());
-            prop_assert_eq!(dfa.is_match(hay), want, "haystack {:?}", hay);
-            prop_assert_eq!(back.is_match(hay), want, "haystack {:?}", hay);
+            prop_assert_eq!(dfa.is_match(hay), ac.is_match(hay.as_bytes()), "haystack {:?}", hay);
         }
     }
 
     /// The flat domain index agrees with the pointer-chasing trie on
-    /// arbitrary entries and hosts, before and after serialization.
+    /// arbitrary entries and hosts.
     #[test]
     fn domain_index_equals_trie(
         entries in proptest::collection::vec(
@@ -107,40 +97,8 @@ proptest! {
         let entry_refs: Vec<&str> = entries.iter().map(|s| s.as_str()).collect();
         let trie = DomainTrie::from_entries(entry_refs.iter().copied());
         let index = DomainIndex::from_entries(entry_refs.iter().copied());
-        let mut w = ByteWriter::new();
-        index.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = DomainIndex::read_from(&mut r).unwrap();
-        prop_assert!(r.is_exhausted());
-        prop_assert_eq!(&index, &back);
         for host in &hosts {
-            let want = trie.lookup(host);
-            prop_assert_eq!(index.lookup(host), want, "host {:?}", host);
-            prop_assert_eq!(back.lookup(host), want, "host {:?}", host);
-        }
-    }
-
-    /// CidrSet queries survive a serialization round trip unchanged.
-    #[test]
-    fn cidr_set_roundtrip_preserves_containment(
-        blocks in proptest::collection::vec((any::<u32>(), 8u8..=32), 0..16),
-        probes in proptest::collection::vec(any::<u32>(), 0..40),
-    ) {
-        let blocks: Vec<Ipv4Cidr> = blocks
-            .into_iter()
-            .map(|(addr, len)| Ipv4Cidr::new(std::net::Ipv4Addr::from(addr), len).unwrap())
-            .collect();
-        let set = CidrSet::from_blocks(blocks.iter().copied());
-        let mut w = ByteWriter::new();
-        set.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = CidrSet::read_from(&mut r).unwrap();
-        prop_assert!(r.is_exhausted());
-        for p in probes {
-            let a = std::net::Ipv4Addr::from(p);
-            prop_assert_eq!(set.contains(a), back.contains(a));
+            prop_assert_eq!(index.lookup(host), trie.lookup(host), "host {:?}", host);
         }
     }
 

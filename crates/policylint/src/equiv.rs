@@ -17,7 +17,7 @@
 use crate::finding::{sort_findings, DecisionKind, Finding, Severity, Witness};
 use filterscope_logformat::RequestUrl;
 use filterscope_match::CidrSet;
-use filterscope_proxy::{CompiledPolicy, PolicyData, PolicyEngine, RuleFamily};
+use filterscope_proxy::{PolicyData, PolicyEngine, RuleFamily};
 use std::collections::HashSet;
 
 /// Neutral hosts for keyword candidates: reserved TLDs that no sane policy
@@ -135,47 +135,6 @@ pub fn check_equivalence(
     // exercises; seed 1 keeps construction deterministic.
     let left_engine = PolicyEngine::from_data(left, None, 1);
     let right_engine = PolicyEngine::from_data(right, None, 1);
-    probe_pair(
-        left,
-        right,
-        &left_engine,
-        &right_engine,
-        left_name,
-        right_name,
-    )
-}
-
-/// The hot-swap witness gate: does a loaded [`CompiledPolicy`]'s engine
-/// still decide exactly as an engine freshly built from its own embedded
-/// source policy?
-///
-/// This is what stands between a reloaded artifact and the serve loop: a
-/// compiled artifact whose DFA/index/CIDR sections disagree with the CPL
-/// they claim to encode (a stale recompile, a post-compile edit, a CRC
-/// collision) is caught here with a concrete counterexample URL, and the
-/// swap is refused.
-pub fn verify_artifact(compiled: &CompiledPolicy) -> Vec<Finding> {
-    let reference = PolicyEngine::from_data(&compiled.source, None, 1);
-    probe_pair(
-        &compiled.source,
-        &compiled.source,
-        &reference,
-        &compiled.engine,
-        "source policy",
-        "compiled artifact",
-    )
-}
-
-/// Probe two *prebuilt* engines over per-rule candidates synthesized from
-/// both source policies; see [`check_equivalence`] for the contract.
-fn probe_pair(
-    left: &PolicyData,
-    right: &PolicyData,
-    left_engine: &PolicyEngine,
-    right_engine: &PolicyEngine,
-    left_name: &str,
-    right_name: &str,
-) -> Vec<Finding> {
     let left_subnets = CidrSet::from_blocks(left.blocked_subnets.iter().copied());
     let right_subnets = CidrSet::from_blocks(right.blocked_subnets.iter().copied());
 
@@ -305,37 +264,6 @@ mod tests {
             .iter()
             .any(|f| f.witness.as_ref().unwrap().left == DecisionKind::Allow
                 && f.witness.as_ref().unwrap().right == DecisionKind::Deny));
-    }
-
-    #[test]
-    fn faithful_artifact_passes_the_witness_gate() {
-        let policy = PolicyData::standard();
-        let bytes = filterscope_proxy::artifact::compile(&policy, 1, None);
-        let compiled = filterscope_proxy::artifact::load(&bytes, None).unwrap();
-        assert!(verify_artifact(&compiled).is_empty());
-    }
-
-    #[test]
-    fn artifact_disagreeing_with_claimed_source_is_vetoed_with_witness() {
-        // Simulate a stale recompile: the compiled sections encode an
-        // ablated policy while the embedded CPL claims the full one.
-        let ablated = PolicyData::standard().without(RuleFamily::Keywords);
-        let bytes = filterscope_proxy::artifact::compile(&ablated, 1, None);
-        let mut compiled = filterscope_proxy::artifact::load(&bytes, None).unwrap();
-        compiled.source = PolicyData::standard();
-        let findings = verify_artifact(&compiled);
-        assert!(!findings.is_empty());
-        for f in &findings {
-            assert_eq!(f.code, "not-equivalent");
-            let w = f.witness.as_ref().expect("witness required");
-            assert_ne!(w.left, w.right);
-            // The counterexample separates the engines when re-executed.
-            let reference = PolicyEngine::from_data(&compiled.source, None, 1);
-            assert_ne!(
-                DecisionKind::of(reference.decide_url(&w.url)),
-                DecisionKind::of(compiled.engine.decide_url(&w.url))
-            );
-        }
     }
 
     #[test]

@@ -20,11 +20,7 @@
 //! * [`check_equivalence`] — rule-level equivalence of two policies where
 //!   every non-equivalence finding carries a synthesized witness request
 //!   URL, self-validated by executing both compiled [`PolicyEngine`]s — no
-//!   static claim without a dynamic counterexample;
-//! * [`verify_artifact`] — the same witness machinery aimed at a loaded
-//!   compiled-policy artifact: the deserialized engine is probed against a
-//!   reference engine rebuilt from the artifact's embedded source CPL, and
-//!   any disagreement (with its counterexample URL) vetoes a hot swap.
+//!   static claim without a dynamic counterexample.
 //!
 //! Surfaced on the command line as `filterscope lint`.
 //!
@@ -39,7 +35,7 @@ pub mod lint;
 pub mod report;
 pub mod skew;
 
-pub use equiv::{check_equivalence, verify_artifact};
+pub use equiv::check_equivalence;
 pub use finding::{DecisionKind, Finding, Severity, Witness};
 pub use lint::{lint_farm, lint_policy};
 pub use report::LintReport;

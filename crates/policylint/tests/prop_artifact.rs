@@ -1,8 +1,7 @@
 //! Property tests for the compiled-artifact pipeline, from both ends:
 //!
 //! 1. **Fidelity.** For arbitrary policies, `compile → load → evaluate`
-//!    agrees with `parse → build → evaluate` on arbitrary URLs, and the
-//!    witness gate ([`verify_artifact`]) finds nothing to veto.
+//!    agrees with `parse → build → evaluate` on arbitrary URLs.
 //! 2. **Fail-closed.** Arbitrary single-bit corruption and truncation of
 //!    the byte stream either fail to load or (never observed, but the
 //!    property allows it) load to a decision-identical engine — a corrupt
@@ -10,7 +9,6 @@
 
 use filterscope_core::Ipv4Cidr;
 use filterscope_logformat::RequestUrl;
-use filterscope_policylint::verify_artifact;
 use filterscope_proxy::artifact::{compile, load};
 use filterscope_proxy::{PolicyData, PolicyEngine};
 use proptest::prelude::*;
@@ -55,15 +53,14 @@ fn arb_urls() -> impl Strategy<Value = Vec<RequestUrl>> {
 
 proptest! {
     /// compile → load → evaluate is indistinguishable from
-    /// parse → build → evaluate, on arbitrary policies and URLs, and
-    /// the witness gate waves the faithful artifact through.
+    /// parse → build → evaluate, on arbitrary policies and URLs.
     #[test]
     fn compiled_artifact_is_decision_identical(
         policy in arb_policy(),
         urls in arb_urls(),
         seed in any::<u64>(),
     ) {
-        let bytes = compile(&policy, seed, None);
+        let bytes = compile(&policy, seed);
         let compiled = load(&bytes, None).expect("fresh artifact loads");
         prop_assert_eq!(&compiled.source, &policy, "embedded source survives");
         prop_assert_eq!(compiled.seed, seed);
@@ -75,8 +72,6 @@ proptest! {
                 "{:?}", url
             );
         }
-        let findings = verify_artifact(&compiled);
-        prop_assert!(findings.is_empty(), "{findings:?}");
     }
 
     /// Flipping any single bit anywhere in the artifact fails closed:
@@ -89,7 +84,7 @@ proptest! {
         flip in any::<u16>(),
         bit in 0u8..8,
     ) {
-        let bytes = compile(&policy, 3, None);
+        let bytes = compile(&policy, 3);
         let mut corrupt = bytes.clone();
         let at = flip as usize % corrupt.len();
         corrupt[at] ^= 1 << bit;
@@ -111,7 +106,7 @@ proptest! {
         policy in arb_policy(),
         cut in any::<u16>(),
     ) {
-        let bytes = compile(&policy, 9, None);
+        let bytes = compile(&policy, 9);
         let at = cut as usize % bytes.len();
         prop_assert!(load(&bytes[..at], None).is_err(), "prefix of {} bytes", at);
     }
@@ -120,7 +115,7 @@ proptest! {
     /// readers must not guess at a future layout.
     #[test]
     fn foreign_version_is_rejected(policy in arb_policy(), version in 2u32..100) {
-        let bytes = compile(&policy, 1, None);
+        let bytes = compile(&policy, 1);
         let mut foreign = bytes.clone();
         foreign[4..8].copy_from_slice(&version.to_le_bytes());
         prop_assert!(load(&foreign, None).is_err());

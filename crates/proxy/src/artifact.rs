@@ -1,15 +1,12 @@
-//! The compiled policy artifact: one versioned, CRC-checked binary file
-//! holding everything a [`PolicyEngine`] needs, in its *compiled* form.
+//! The policy artifact: one versioned, CRC-checked binary file carrying a
+//! policy's source CPL and its engine seed.
 //!
-//! `filterscope compile` serializes a policy — dense keyword DFA, flat
-//! domain index, merged CIDR table, the three small hash-set tiers, the
-//! source CPL text, and optionally the whole farm configuration — into a
-//! single `header + section table + payload` file. Opening the artifact
-//! deserializes the hot structures directly (no automaton construction,
-//! no trie building, no CIDR merging); the only text parsed at load time
-//! is the embedded source CPL, kept so the `filterscope-policylint`
-//! witness gate can rebuild a reference engine and prove the compiled
-//! forms still decide identically before a hot-swap is accepted.
+//! `filterscope compile` writes a policy into a single
+//! `header + section table + payload` file; `serve --policy-artifact`
+//! opens it at startup and on every hot reload. Opening checks the whole
+//! container, parses the embedded CPL and builds the engine exactly as
+//! [`PolicyEngine::from_data`] does, so the artifact holds one copy of the
+//! policy and the engine can never disagree with it.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -26,17 +23,19 @@
 //! payload      the sections, contiguous and in table order
 //! ```
 //!
-//! Every structural invariant is re-validated on load and any violation —
-//! bad magic, unknown version, table rows out of order or out of bounds,
-//! CRC mismatch anywhere, trailing bytes, malformed section body — fails
-//! closed with an error and leaves nothing half-built.
+//! `compile` writes two sections: [`SEC_SOURCE_CPL`] (the CPL text) and
+//! [`SEC_META`] (the engine seed). Every structural invariant is
+//! re-validated on load and any violation — bad magic, unknown version,
+//! table rows out of order or out of bounds, CRC mismatch anywhere,
+//! trailing bytes, a CPL that does not parse — fails closed with an error.
+//! Sections with other ids are CRC-checked and then ignored; version-1
+//! artifacts from older builds also carried serialized matcher tables
+//! under ids 2–8, and those still load and decide by their source.
 
-use crate::config::FarmConfig;
 use crate::cpl::{parse_cpl, to_cpl};
 use crate::engine::PolicyEngine;
 use crate::policy_data::PolicyData;
-use filterscope_core::{crc32, ByteReader, ByteWriter, Error, ProxyId, Result};
-use filterscope_match::{AcDfa, CidrSet, DomainIndex};
+use filterscope_core::{crc32, ByteReader, ByteWriter, Error, Result};
 use filterscope_tor::RelayIndex;
 use std::sync::Arc;
 
@@ -46,15 +45,9 @@ pub const MAGIC: [u8; 4] = *b"FSCP";
 /// Current artifact format version.
 pub const VERSION: u32 = 1;
 
-/// Section ids, in file order.
+/// Section id of the policy's CPL text.
 pub const SEC_SOURCE_CPL: u32 = 1;
-pub const SEC_KEYWORD_DFA: u32 = 2;
-pub const SEC_DOMAIN_INDEX: u32 = 3;
-pub const SEC_CIDR_RANGES: u32 = 4;
-pub const SEC_REDIRECTS: u32 = 5;
-pub const SEC_CUSTOM_PAGES: u32 = 6;
-pub const SEC_CUSTOM_QUERIES: u32 = 7;
-pub const SEC_FARM: u32 = 8;
+/// Section id of the engine seed (`u64`).
 pub const SEC_META: u32 = 9;
 
 /// Upper bound on the section count a loader will accept.
@@ -68,92 +61,39 @@ fn bad(what: impl Into<String>) -> Error {
 }
 
 /// A policy loaded from an artifact: the ready-to-serve engine plus the
-/// provenance the witness gate and the hot-swap plumbing need.
+/// source it was built from.
 pub struct CompiledPolicy {
-    /// The engine, built from the compiled sections (not from the CPL).
+    /// The engine, built from `source` with `seed`.
     pub engine: PolicyEngine,
     /// The source policy, parsed from the embedded CPL section.
     pub source: PolicyData,
-    /// The embedded CPL text verbatim.
-    pub source_cpl: String,
-    /// Artifact format version.
-    pub version: u32,
     /// Engine seed recorded at compile time.
     pub seed: u64,
-    /// Farm configuration, when the artifact was compiled with `--farm`.
-    pub farm: Option<FarmConfig>,
 }
 
-/// Serialize `policy` (and optionally a farm configuration) into artifact
-/// bytes. `seed` is the engine seed recorded in the META section and used
-/// by deterministic tiers (the Tor window model) after load.
-pub fn compile(policy: &PolicyData, seed: u64, farm: Option<&FarmConfig>) -> Vec<u8> {
-    // Compile the hot structures exactly as `PolicyEngine::from_data` does.
-    let keywords = AcDfa::build(&policy.keywords, true);
-    let domains = DomainIndex::from_entries(policy.blocked_domains.iter().map(|s| s.as_str()));
-    let subnets = CidrSet::from_blocks(policy.blocked_subnets.iter().copied());
+/// Serialize `policy` into artifact bytes. `seed` is the engine seed
+/// recorded in the META section and used by deterministic tiers (the Tor
+/// window model) after load.
+pub fn compile(policy: &PolicyData, seed: u64) -> Vec<u8> {
+    let mut cpl = ByteWriter::new();
+    cpl.put_str(&to_cpl(policy));
+    let mut meta = ByteWriter::new();
+    meta.put_u64(seed);
+    assemble(&[
+        (SEC_SOURCE_CPL, cpl.into_bytes()),
+        (SEC_META, meta.into_bytes()),
+    ])
+}
 
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-    let sec = |id: u32, body: ByteWriter, out: &mut Vec<(u32, Vec<u8>)>| {
-        out.push((id, body.into_bytes()));
-    };
-
-    let mut w = ByteWriter::new();
-    w.put_str(&to_cpl(policy));
-    sec(SEC_SOURCE_CPL, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    keywords.write_into(&mut w);
-    sec(SEC_KEYWORD_DFA, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    domains.write_into(&mut w);
-    sec(SEC_DOMAIN_INDEX, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    subnets.write_into(&mut w);
-    sec(SEC_CIDR_RANGES, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    write_str_list(&mut w, policy.redirect_hosts.iter().map(|s| s.as_str()));
-    sec(SEC_REDIRECTS, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    w.put_u32(policy.custom_pages.len() as u32);
-    for (host, path) in &policy.custom_pages {
-        w.put_str(host);
-        w.put_str(path);
-    }
-    sec(SEC_CUSTOM_PAGES, w, &mut sections);
-
-    let mut w = ByteWriter::new();
-    write_str_list(&mut w, policy.custom_queries.iter().map(|s| s.as_str()));
-    sec(SEC_CUSTOM_QUERIES, w, &mut sections);
-
-    if let Some(farm) = farm {
-        let mut w = ByteWriter::new();
-        w.put_u64(farm.seed);
-        w.put_u32(farm.error_per_cent_mille);
-        w.put_u32(farm.proxied_per_cent_mille);
-        w.put_u32(farm.proxies.len() as u32);
-        for p in &farm.proxies {
-            w.put_u8(p.id.index() as u8);
-            w.put_u32(p.tor_rule_per_mille_cap);
-        }
-        sec(SEC_FARM, w, &mut sections);
-    }
-
-    let mut w = ByteWriter::new();
-    w.put_u64(seed);
-    sec(SEC_META, w, &mut sections);
-
-    // Header: magic, version, section table, header CRC; then the payload.
+/// Lay `sections` (sorted by id) out as header, section table, header CRC
+/// and payload.
+fn assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut header = ByteWriter::new();
     header.put_raw(&MAGIC);
     header.put_u32(VERSION);
     header.put_u32(sections.len() as u32);
     let mut offset = 0u64;
-    for (id, body) in &sections {
+    for (id, body) in sections {
         header.put_u32(*id);
         header.put_u64(offset);
         header.put_u64(body.len() as u64);
@@ -165,15 +105,15 @@ pub fn compile(policy: &PolicyData, seed: u64, farm: Option<&FarmConfig>) -> Vec
 
     let mut out = header.into_bytes();
     for (_, body) in sections {
-        out.extend_from_slice(&body);
+        out.extend_from_slice(body);
     }
     out
 }
 
-/// Deserialize an artifact, validating magic, version, the section table,
-/// the header CRC, and every per-section CRC before touching any body.
-/// `relays` enables the SG-44 Tor rule on the loaded engine, exactly as in
-/// [`PolicyEngine::from_data`].
+/// Open an artifact, validating magic, version, the section table, the
+/// header CRC, and every per-section CRC before touching any body, then
+/// build the engine from the embedded CPL. `relays` enables the SG-44 Tor
+/// rule on the loaded engine, exactly as in [`PolicyEngine::from_data`].
 pub fn load(bytes: &[u8], relays: Option<Arc<RelayIndex>>) -> Result<CompiledPolicy> {
     let mut r = ByteReader::new(bytes);
     if r.get_raw(4)
@@ -244,114 +184,17 @@ pub fn load(bytes: &[u8], relays: Option<Arc<RelayIndex>>) -> Result<CompiledPol
     }
 
     let mut r = ByteReader::new(section(SEC_SOURCE_CPL)?);
-    let source_cpl = r.get_str()?.to_string();
+    let source = parse_cpl(r.get_str()?)?;
     r.expect_exhausted()?;
-    let source = parse_cpl(&source_cpl)?;
-
-    let mut r = ByteReader::new(section(SEC_KEYWORD_DFA)?);
-    let keywords = AcDfa::read_from(&mut r)?;
-    r.expect_exhausted()?;
-
-    let mut r = ByteReader::new(section(SEC_DOMAIN_INDEX)?);
-    let domains = DomainIndex::read_from(&mut r)?;
-    r.expect_exhausted()?;
-
-    let mut r = ByteReader::new(section(SEC_CIDR_RANGES)?);
-    let subnets = CidrSet::read_from(&mut r)?;
-    r.expect_exhausted()?;
-
-    let mut r = ByteReader::new(section(SEC_REDIRECTS)?);
-    let redirect_hosts = read_str_list(&mut r)?.into_iter().collect();
-    r.expect_exhausted()?;
-
-    let mut r = ByteReader::new(section(SEC_CUSTOM_PAGES)?);
-    let n = r.get_u32()? as usize;
-    let mut custom_pages = std::collections::HashSet::with_capacity(n);
-    for _ in 0..n {
-        let host = r.get_str()?.to_string();
-        let path = r.get_str()?.to_string();
-        custom_pages.insert((host, path));
-    }
-    r.expect_exhausted()?;
-
-    let mut r = ByteReader::new(section(SEC_CUSTOM_QUERIES)?);
-    let custom_queries = read_str_list(&mut r)?.into_iter().collect();
-    r.expect_exhausted()?;
-
-    let farm = match table.iter().find(|row| row.0 == SEC_FARM) {
-        Some(_) => Some(read_farm(&mut ByteReader::new(section(SEC_FARM)?))?),
-        None => None,
-    };
 
     let mut r = ByteReader::new(section(SEC_META)?);
     let seed = r.get_u64()?;
     r.expect_exhausted()?;
 
-    let engine = PolicyEngine {
-        keywords,
-        domains,
-        subnets,
-        redirect_hosts,
-        custom_pages,
-        custom_queries,
-        relays,
-        seed,
-    };
     Ok(CompiledPolicy {
-        engine,
+        engine: PolicyEngine::from_data(&source, relays, seed),
         source,
-        source_cpl,
-        version,
         seed,
-        farm,
-    })
-}
-
-fn write_str_list<'a>(w: &mut ByteWriter, items: impl ExactSizeIterator<Item = &'a str>) {
-    w.put_u32(items.len() as u32);
-    for s in items {
-        w.put_str(s);
-    }
-}
-
-fn read_str_list(r: &mut ByteReader<'_>) -> Result<Vec<String>> {
-    let n = r.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(r.get_str()?.to_string());
-    }
-    Ok(out)
-}
-
-fn read_farm(r: &mut ByteReader<'_>) -> Result<FarmConfig> {
-    let seed = r.get_u64()?;
-    let error_per_cent_mille = r.get_u32()?;
-    let proxied_per_cent_mille = r.get_u32()?;
-    let n = r.get_u32()? as usize;
-    if n != ProxyId::COUNT {
-        return Err(bad(format!("farm section lists {n} proxies, expected 7")));
-    }
-    let mut proxies = Vec::with_capacity(n);
-    for want in 0..n {
-        let idx = r.get_u8()? as usize;
-        if idx != want {
-            return Err(bad("farm proxies out of order"));
-        }
-        let id = ProxyId::from_index(idx).ok_or_else(|| bad("farm proxy index out of range"))?;
-        let mut cfg = crate::config::ProxyConfig::standard(id);
-        cfg.tor_rule_per_mille_cap = r.get_u32()?;
-        proxies.push(cfg);
-    }
-    r.expect_exhausted()?;
-    Ok(FarmConfig {
-        proxies,
-        seed,
-        error_per_cent_mille,
-        proxied_per_cent_mille,
-        // The FSCP farm section describes the Blue Coat deployment the
-        // artifact was measured from; censor profiles are a simulation-side
-        // concern and are not part of the serialized format.
-        profile: crate::profile::ProfileKind::BlueCoat,
     })
 }
 
@@ -377,10 +220,22 @@ mod tests {
         ]
     }
 
+    fn str_section(text: &str) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str(text);
+        w.into_bytes()
+    }
+
+    fn seed_section(seed: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(seed);
+        w.into_bytes()
+    }
+
     #[test]
     fn roundtrip_preserves_every_decision() {
         let policy = PolicyData::standard();
-        let bytes = compile(&policy, 7, None);
+        let bytes = compile(&policy, 7);
         let loaded = load(&bytes, None).unwrap();
         let reference = PolicyEngine::from_data(&policy, None, 7);
         for url in probe_urls() {
@@ -391,61 +246,12 @@ mod tests {
             );
         }
         assert_eq!(loaded.source, policy);
-        assert_eq!(loaded.version, VERSION);
         assert_eq!(loaded.seed, 7);
-        assert!(loaded.farm.is_none());
-    }
-
-    #[test]
-    fn roundtrip_preserves_the_farm_configuration() {
-        let policy = PolicyData::standard();
-        for farm in [FarmConfig::default(), FarmConfig::tor_blocked_era()] {
-            let bytes = compile(&policy, farm.seed, Some(&farm));
-            let loaded = load(&bytes, None).unwrap();
-            let got = loaded.farm.expect("farm section present");
-            assert_eq!(got.seed, farm.seed);
-            assert_eq!(got.error_per_cent_mille, farm.error_per_cent_mille);
-            assert_eq!(got.proxied_per_cent_mille, farm.proxied_per_cent_mille);
-            assert_eq!(got.proxies.len(), farm.proxies.len());
-            for (a, b) in got.proxies.iter().zip(&farm.proxies) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.tor_rule_per_mille_cap, b.tor_rule_per_mille_cap);
-                assert_eq!(a.default_category, b.default_category);
-                assert_eq!(a.blocked_category, b.blocked_category);
-            }
-        }
-    }
-
-    #[test]
-    fn farm_roundtrip_preserves_decisions_for_all_seven_proxies() {
-        let policy = PolicyData::standard();
-        let ts = Timestamp::parse_fields("2011-08-03", "12:00:00").unwrap();
-        for farm in [FarmConfig::default(), FarmConfig::tor_blocked_era()] {
-            let bytes = compile(&policy, farm.seed, Some(&farm));
-            let loaded = load(&bytes, None).unwrap();
-            let reference = PolicyEngine::from_data(&policy, None, farm.seed);
-            let got_farm = loaded.farm.as_ref().expect("farm present");
-            assert_eq!(got_farm.proxies.len(), 7);
-            // The reconstructed per-proxy configs must drive the loaded
-            // engine to the same decision as the original configs drive
-            // the parse-built engine, for every one of the seven proxies.
-            for (orig, got) in farm.proxies.iter().zip(&got_farm.proxies) {
-                for url in probe_urls() {
-                    let req = Request::get(ts, url.clone());
-                    assert_eq!(
-                        loaded.engine.decide(got, &req),
-                        reference.decide(orig, &req),
-                        "proxy {:?} url {url:?}",
-                        orig.id
-                    );
-                }
-            }
-        }
     }
 
     #[test]
     fn loaded_engine_runs_the_full_decide_path() {
-        let bytes = compile(&PolicyData::standard(), 42, None);
+        let bytes = compile(&PolicyData::standard(), 42);
         let loaded = load(&bytes, None).unwrap();
         let cfg = ProxyConfig::standard(filterscope_core::ProxyId::Sg42);
         let ts = Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap();
@@ -458,7 +264,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_fail_closed() {
-        let bytes = compile(&PolicyData::standard(), 1, None);
+        let bytes = compile(&PolicyData::standard(), 1);
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(load(&bad_magic, None).is_err());
@@ -470,7 +276,7 @@ mod tests {
 
     #[test]
     fn every_truncation_fails_closed() {
-        let bytes = compile(&PolicyData::standard(), 1, None);
+        let bytes = compile(&PolicyData::standard(), 1);
         // Sample prefixes (every length would be slow on a full policy).
         for cut in (0..bytes.len()).step_by(101).chain([bytes.len() - 1]) {
             assert!(load(&bytes[..cut], None).is_err(), "cut {cut}");
@@ -488,7 +294,7 @@ mod tests {
             custom_pages: vec![("www.facebook.com".into(), "/Syrian.Revolution".into())],
             custom_queries: vec!["ref=ts".into(), String::new()],
         };
-        let bytes = compile(&policy, 3, None);
+        let bytes = compile(&policy, 3);
         let reference = load(&bytes, None).unwrap();
         let probes = probe_urls();
         for i in 0..bytes.len() {
@@ -513,26 +319,25 @@ mod tests {
 
     #[test]
     fn missing_required_section_fails_closed() {
-        // Hand-build an artifact with only the META section.
-        let mut body = ByteWriter::new();
-        body.put_u64(1);
-        let body = body.into_bytes();
-        let mut header = ByteWriter::new();
-        header.put_raw(&MAGIC);
-        header.put_u32(VERSION);
-        header.put_u32(1);
-        header.put_u32(SEC_META);
-        header.put_u64(0);
-        header.put_u64(body.len() as u64);
-        header.put_u32(crc32(&body));
-        let crc = crc32(header.as_slice());
-        header.put_u32(crc);
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(&body);
-        let err = match load(&bytes, None) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("artifact without policy sections must be rejected"),
-        };
-        assert!(err.contains("missing"), "{err}");
+        let only_meta = assemble(&[(SEC_META, seed_section(1))]);
+        let cpl = str_section(&to_cpl(&PolicyData::standard()));
+        let only_cpl = assemble(&[(SEC_SOURCE_CPL, cpl)]);
+        for bytes in [only_meta, only_cpl] {
+            let err = match load(&bytes, None) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("artifact without a required section must be rejected"),
+            };
+            assert!(err.contains("missing"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unparseable_cpl_fails_closed() {
+        // Every CRC is valid; only the policy text is wrong.
+        let bytes = assemble(&[
+            (SEC_SOURCE_CPL, str_section("define condition\n")),
+            (SEC_META, seed_section(1)),
+        ]);
+        assert!(load(&bytes, None).is_err());
     }
 }

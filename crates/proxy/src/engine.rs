@@ -18,19 +18,18 @@ use std::sync::Arc;
 ///
 /// The two hot structures are the *compiled* forms — a dense keyword DFA
 /// and a flat domain index — decision-identical to the build-time
-/// automaton/trie (property-tested in `filterscope-match`) and directly
-/// serializable into the policy artifact (`crate::artifact`).
+/// automaton/trie (property-tested in `filterscope-match`).
 pub struct PolicyEngine {
-    pub(crate) keywords: AcDfa,
-    pub(crate) domains: DomainIndex,
-    pub(crate) subnets: CidrSet,
-    pub(crate) redirect_hosts: HashSet<String>,
+    keywords: AcDfa,
+    domains: DomainIndex,
+    subnets: CidrSet,
+    redirect_hosts: HashSet<String>,
     /// `(host, "/<page>")` pairs under the custom category.
-    pub(crate) custom_pages: HashSet<(String, String)>,
-    pub(crate) custom_queries: HashSet<String>,
+    custom_pages: HashSet<(String, String)>,
+    custom_queries: HashSet<String>,
     /// Tor relay endpoints by date, shared with the workload generator.
-    pub(crate) relays: Option<Arc<RelayIndex>>,
-    pub(crate) seed: u64,
+    relays: Option<Arc<RelayIndex>>,
+    seed: u64,
 }
 
 impl PolicyEngine {
@@ -225,19 +224,6 @@ impl PolicyEngine {
             categories: self.category_label(cfg, decision),
         }
     }
-
-    /// Decide a whole batch of requests under one proxy config, appending
-    /// to `out`. One scratch buffer serves every tier-3 keyword scan, so
-    /// the per-request allocation of the scalar path disappears; results
-    /// are element-for-element identical to calling
-    /// [`PolicyEngine::decide`] in a loop.
-    pub fn decide_batch(&self, cfg: &ProxyConfig, reqs: &[Request], out: &mut Vec<Decision>) {
-        out.reserve(reqs.len());
-        let mut filter_buf = String::new();
-        for req in reqs {
-            out.push(self.decide_with_buf(cfg, req, &mut filter_buf));
-        }
-    }
 }
 
 /// A fully resolved policy outcome for one request on one proxy: the
@@ -407,35 +393,6 @@ mod tests {
         let allowed = e.verdict(&c, &get(RequestUrl::http("ok.example", "/")));
         assert_eq!(allowed.decision, Decision::Allow);
         assert_eq!(allowed.categories, "none");
-    }
-
-    #[test]
-    fn decide_batch_is_identical_to_the_scalar_loop() {
-        let e = engine();
-        let c = cfg(ProxyId::Sg42);
-        let reqs: Vec<Request> = [
-            ("google.com", "/tbproxy/af/query", ""),
-            ("metacafe.com", "/", ""),
-            ("84.229.13.7", "/", ""),
-            ("upload.youtube.com", "/upload", ""),
-            ("www.facebook.com", "/Syrian.Revolution", "ref=ts"),
-            ("example.com", "/x", "q=UltraSurf"),
-            ("ok.example", "/", ""),
-        ]
-        .iter()
-        .map(|(host, path, query)| get(RequestUrl::http(*host, *path).with_query(*query)))
-        .collect();
-        let want: Vec<Decision> = reqs.iter().map(|r| e.decide(&c, r)).collect();
-        let mut got = Vec::new();
-        e.decide_batch(&c, &reqs, &mut got);
-        assert_eq!(got, want);
-        // The batch covers every outcome the scalar tests exercise.
-        assert!(got.contains(&Decision::Deny(Trigger::Keyword)));
-        assert!(got.contains(&Decision::Deny(Trigger::Domain)));
-        assert!(got.contains(&Decision::Deny(Trigger::IpSubnet)));
-        assert!(got.contains(&Decision::Redirect(Trigger::RedirectHost)));
-        assert!(got.contains(&Decision::Redirect(Trigger::CustomCategory)));
-        assert!(got.contains(&Decision::Allow));
     }
 
     #[test]

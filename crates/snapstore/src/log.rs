@@ -13,8 +13,8 @@
 //!
 //! When the log grows past its size budget, [`SnapLog::compact`]
 //! rewrites it as a single [`FrameKind::Checkpoint`] frame holding the
-//! cumulative state, using the same durability idiom as the snapshot
-//! writer: write to a `.tmp` sibling, fsync, rename over the log, then
+//! cumulative state, through [`filterscope_core::fs::atomic_write`]:
+//! write a `<log>.tmp` sibling, fsync, rename over the log, then
 //! best-effort fsync of the directory. Subsequent deltas append after
 //! the checkpoint; a crash anywhere leaves either the old log or the
 //! new one, never a mix.
@@ -23,6 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use filterscope_core::fs::atomic_write;
 use filterscope_core::{Error, Result};
 
 use crate::frame::{Frame, FrameKind};
@@ -196,20 +197,9 @@ impl SnapLog {
             value,
         };
         let encoded = frame.encode();
-        let tmp = self.path.with_extension("tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&encoded)?;
-        // Durable before the rename publishes the name (snapshot.rs
-        // idiom): a crash must leave the old log or the new one, never a
-        // name pointing at unflushed blocks.
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        // A crash leaves the old log or the new one, never a name
+        // pointing at unflushed blocks.
+        atomic_write(&self.path, &encoded)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.bytes = encoded.len() as u64;
         self.frames = 1;

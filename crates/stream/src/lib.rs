@@ -25,9 +25,9 @@
 //!   drops that connection, never the server), graceful shutdown on
 //!   SIGINT with a final flush, and a plaintext `/metrics` endpoint;
 //! * with `--policy-artifact FILE`, every record is additionally
-//!   evaluated against a compiled [`filterscope_proxy::PolicyEngine`]
-//!   loaded zero-rebuild from a `filterscope compile` artifact, with
-//!   witness-gated hot reload between snapshot cycles ([`policy`]).
+//!   evaluated against a [`filterscope_proxy::PolicyEngine`] built from
+//!   the CPL inside a `filterscope compile` artifact, reloaded between
+//!   snapshot cycles when the file changes ([`policy`]).
 //!
 //! The wire format lives in [`filterscope_logformat::frame`]; the workload
 //! replay order in [`filterscope_synth::streamer`].

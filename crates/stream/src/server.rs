@@ -85,9 +85,9 @@ pub struct ServeConfig {
     pub selection: Selection,
     /// Bound of each connection's batch queue (backpressure threshold).
     pub queue_batches: usize,
-    /// Compiled policy artifact to evaluate every record against, with
-    /// witness-gated hot reload each snapshot cycle; `None` disables
-    /// policy evaluation.
+    /// Policy artifact to evaluate every record against, reloaded each
+    /// snapshot cycle when its bytes change; `None` disables policy
+    /// evaluation.
     pub policy_artifact: Option<PathBuf>,
     /// The censorship mechanism the operator expects ingested traffic
     /// to show (`serve --censor`); reported on `/metrics` next to the
@@ -226,9 +226,9 @@ impl SnapSink for LogSink<'_> {
 
 impl Server {
     /// Bind the ingest (and optional metrics) listeners, create the
-    /// snapshot directory, and — when configured — load and witness-check
-    /// the policy artifact. Fails fast on unusable addresses and on an
-    /// artifact that cannot be proven faithful.
+    /// snapshot directory, and — when configured — load the policy
+    /// artifact. Fails fast on unusable addresses and on an artifact that
+    /// does not load.
     pub fn bind(config: ServeConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| Error::Io(format!("cannot listen on {}: {e}", config.listen)))?;
@@ -625,7 +625,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let artifact_path = dir.join("policy.fscp");
         let full = PolicyData::standard();
-        std::fs::write(&artifact_path, artifact::compile(&full, 1, None)).unwrap();
+        std::fs::write(&artifact_path, artifact::compile(&full, 1)).unwrap();
 
         let mut cfg = config(&dir.join("snaps"));
         cfg.metrics = Some("127.0.0.1:0".to_string());
@@ -696,7 +696,7 @@ mod tests {
 
             // Swap in an artifact without keyword rules; no restart.
             let ablated = full.clone().without(RuleFamily::Keywords);
-            std::fs::write(&artifact_path, artifact::compile(&ablated, 1, None)).unwrap();
+            std::fs::write(&artifact_path, artifact::compile(&ablated, 1)).unwrap();
             await_gauge("filterscope_policy_version ", 2);
 
             // Batch 2, same line, same connection: now allowed.
@@ -706,11 +706,16 @@ mod tests {
             await_gauge("filterscope_policy_decisions_total{decision=\"allow\"} ", 1);
 
             // A corrupt artifact is rejected; the running policy stays.
-            let mut bad = artifact::compile(&full, 1, None);
+            let mut bad = artifact::compile(&full, 1);
             let mid = bad.len() / 2;
             bad[mid] ^= 0x01;
             std::fs::write(&artifact_path, &bad).unwrap();
             let page = await_gauge("filterscope_policy_reload_failures_total ", 1);
+            assert_eq!(gauge(&page, "filterscope_policy_version "), 2);
+            // So is a torn (truncated) write, and it is counted too.
+            let good = artifact::compile(&full, 1);
+            std::fs::write(&artifact_path, &good[..good.len() - 3]).unwrap();
+            let page = await_gauge("filterscope_policy_reload_failures_total ", 2);
             assert_eq!(gauge(&page, "filterscope_policy_version "), 2);
 
             // Batch 3 still decides under the last good (ablated) policy.

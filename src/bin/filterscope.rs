@@ -5,7 +5,7 @@
 //! filterscope analyze LOG...                          full report from log files
 //! filterscope audit LOG... [--cpl OUT] [--lint]       recover the policy (§5.4)
 //! filterscope policy [--out FILE]                     dump the standard policy as CPL
-//! filterscope compile [POLICY] --out FILE [--farm]    build a binary policy artifact
+//! filterscope compile [POLICY] --out FILE            build a binary policy artifact
 //! filterscope lint [POLICY] [--against POLICY]        static policy analysis
 //! filterscope report [--scale N]                      synthesize + analyze in one go
 //! filterscope replay [--scale N]                      time every pipeline stage
@@ -23,13 +23,12 @@ use filterscope::analysis::comparison::compare;
 use filterscope::analysis::pipeline::{ParallelIngest, ShardSink};
 use filterscope::analysis::registry::REGISTRY;
 use filterscope::analysis::report::Table;
+use filterscope::core::fs::atomic_write;
 use filterscope::core::progress::fmt_secs;
 use filterscope::core::{pool, Json, Progress};
 use filterscope::logformat::fields::header_line;
 use filterscope::logformat::RecordView;
-use filterscope::policylint::{
-    check_equivalence, lint_farm, lint_policy, skew_matrix, verify_artifact, LintReport,
-};
+use filterscope::policylint::{check_equivalence, lint_farm, lint_policy, skew_matrix, LintReport};
 use filterscope::prelude::*;
 use filterscope::proxy::config::FarmConfig;
 use filterscope::proxy::{artifact, cpl, PolicyData, ProfileKind};
@@ -46,13 +45,11 @@ use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  filterscope generate [--scale N] [--out DIR] [--censor NAME] [--threads N]\n  \
+const USAGE: &str = "usage:\n  filterscope generate [--scale N] [--out DIR] [--censor NAME] [--threads N]\n  \
          filterscope analyze LOG... [--min-support N] [--geo FILE] [--categories FILE] [--json OUT] [--threads N] [--analyses KEYS] [--skip KEYS]\n  \
          filterscope audit LOG... [--min-support N] [--cpl OUT] [--lint] [--threads N] [--analyses KEYS] [--skip KEYS]\n  \
          filterscope policy [--out FILE]\n  \
-         filterscope compile [POLICY] --out FILE [--farm] [--seed N]\n  \
+         filterscope compile [POLICY] --out FILE [--seed N]\n  \
          filterscope lint [POLICY] [--against POLICY] [--json] [--deny warnings]\n  \
          filterscope report [--scale N] [--json OUT] [--threads N] [--analyses KEYS] [--skip KEYS]\n  \
          filterscope replay [--scale N] [--out DIR] [--threads N] [--bench-json FILE]\n  \
@@ -74,8 +71,8 @@ fn usage() -> ExitCode {
          the daemon expects to observe (reported on /metrics).\n\
          POLICY is `standard` or a CPL file; `lint` exits non-zero on error\n\
          findings (and on warnings too under `--deny warnings`).\n\
-         `compile` writes a witness-checked binary artifact that\n\
-         `serve --policy-artifact` loads zero-parse and hot-reloads on change.\n\
+         `compile` writes the policy's CPL into a checksummed artifact that\n\
+         `serve --policy-artifact` loads and hot-reloads on change.\n\
          --analyses/--skip take comma-separated keys from `filterscope analyses`.\n\
          `serve --snap-log` appends every snapshot cycle's suite delta to a\n\
          crash-safe frame log that `history` replays: `at` reconstructs the\n\
@@ -87,8 +84,11 @@ fn usage() -> ExitCode {
          full study corpus; `--bench-json` merges the rates into a bench\n\
          results file.\n\
          --threads must be >= 1 and defaults to the available parallelism;\n\
-         results are byte-identical for every thread count."
-    );
+         results are byte-identical for every thread count.";
+
+/// Print the usage to stderr and exit 2: the reply to a malformed command.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -534,15 +534,13 @@ fn cmd_policy(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `filterscope compile [POLICY] --out FILE [--farm] [--seed N]`: serialize
-/// a policy (and optionally the standard 7-proxy farm) into the binary
-/// `FSCP` artifact that `serve --policy-artifact` opens zero-parse.
+/// `filterscope compile [POLICY] --out FILE [--seed N]`: write a policy
+/// into the binary `FSCP` artifact that `serve --policy-artifact` loads.
 ///
-/// Before the artifact is published, the freshly encoded bytes are loaded
-/// back and the deserialized engine is proven witness-equivalent to its
-/// embedded source policy ([`verify_artifact`]) — a compiler bug can fail
-/// this command, but can never ship a lying artifact. The write itself is
-/// tmp-then-rename so a hot-reload watcher never observes a torn file.
+/// The artifact carries the policy's CPL and the engine seed; `serve`
+/// builds its engine from that CPL. The write goes through
+/// [`atomic_write`], so a hot-reload watcher never observes a torn or
+/// unflushed file.
 fn cmd_compile(args: &Args) -> ExitCode {
     if args.positional.len() > 1 {
         return usage();
@@ -563,45 +561,15 @@ fn cmd_compile(args: &Args) -> ExitCode {
         Ok(p) => p,
         Err(code) => return code,
     };
-    let farm = args.has_flag("farm").then(FarmConfig::default);
-    let bytes = artifact::compile(&policy, seed, farm.as_ref());
-    // Self-check: reload the exact bytes about to be published and prove
-    // the deserialized engine matches the embedded source decision-for-
-    // decision on synthesized witnesses.
-    let compiled = match artifact::load(&bytes, None) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compile self-check failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let findings = verify_artifact(&compiled);
-    if !findings.is_empty() {
-        eprintln!("compile self-check failed: artifact disagrees with {name}:");
-        for f in &findings {
-            eprintln!("  {}", f.render_line());
-        }
-        return ExitCode::FAILURE;
-    }
-    let tmp = format!("{out}.tmp");
-    if let Err(e) = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, out)) {
+    let bytes = artifact::compile(&policy, seed);
+    if let Err(e) = atomic_write(Path::new(out), &bytes) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!(
-        "compiled {name} to {out} ({} bytes{})",
-        bytes.len(),
-        if farm.is_some() {
-            ", with the 7-proxy farm"
-        } else {
-            ""
-        }
-    );
+    eprintln!("compiled {name} to {out} ({} bytes)", bytes.len());
     ExitCode::SUCCESS
 }
 
-/// Resolve a policy spec (`standard` or a CPL file path) to policy data
-/// plus its display name.
 fn load_policy(spec: &str) -> Result<(PolicyData, String), ExitCode> {
     if spec == "standard" {
         return Ok((PolicyData::standard(), "standard".to_string()));
@@ -1495,7 +1463,6 @@ fn bool_flags(command: &str) -> &'static [&'static str] {
     match command {
         "lint" => &["json"],
         "audit" => &["lint"],
-        "compile" => &["farm"],
         "history" => &["json"],
         _ => &[],
     }
@@ -1552,7 +1519,14 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
 }
 
 fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1);
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    // `filterscope --help` and `filterscope <cmd> --help` (or `-h`) print
+    // the usage to stdout and succeed.
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let mut raw = raw.into_iter();
     let Some(command) = raw.next() else {
         return usage();
     };

@@ -205,6 +205,38 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn help_prints_usage_to_stdout_for_every_subcommand() {
+    let out = bin().arg("--help").output().expect("run --help");
+    assert!(out.status.success());
+    let usage = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(usage.starts_with("usage:"), "stdout: {usage}");
+    // Every subcommand named in the usage text, in order, deduplicated.
+    let mut commands: Vec<&str> = Vec::new();
+    for line in usage.lines() {
+        let Some(rest) = line.trim_start().strip_prefix("filterscope ") else {
+            continue;
+        };
+        let name = rest.split_whitespace().next().unwrap();
+        if !commands.contains(&name) {
+            commands.push(name);
+        }
+    }
+    assert!(commands.len() >= 15, "{commands:?}");
+    for command in commands {
+        for flag in ["--help", "-h"] {
+            let out = bin().args([command, flag]).output().expect("run help");
+            assert!(out.status.success(), "{command} {flag}: {:?}", out.status);
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                usage,
+                "{command} {flag}"
+            );
+            assert!(out.stderr.is_empty(), "{command} {flag}");
+        }
+    }
+}
+
+#[test]
 fn flag_expecting_a_value_rejects_a_following_flag() {
     // `--json` is missing its value; it must NOT swallow `--threads` as one.
     let out = bin()
@@ -613,7 +645,7 @@ fn censor_presets_survive_the_generate_analyze_roundtrip() {
 }
 
 #[test]
-fn compile_writes_a_witness_checked_artifact() {
+fn compile_writes_a_loadable_artifact() {
     let dir = temp_dir("compile");
     let artifact = dir.join("policy.fscp");
 
@@ -622,9 +654,18 @@ fn compile_writes_a_witness_checked_artifact() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out FILE is required"));
 
-    // The standard policy compiles, with the farm, and the self-check runs.
+    // `--farm` is gone: the artifact carries only the policy.
     let out = bin()
         .args(["compile", "standard", "--farm", "--out"])
+        .arg(&artifact)
+        .output()
+        .expect("run compile");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("flag --farm"));
+
+    // The standard policy compiles into an artifact that loads back to it.
+    let out = bin()
+        .args(["compile", "standard", "--seed", "7", "--out"])
         .arg(&artifact)
         .output()
         .expect("run compile");
@@ -633,10 +674,11 @@ fn compile_writes_a_witness_checked_artifact() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("with the 7-proxy farm"), "stderr: {stderr}");
     let bytes = std::fs::read(&artifact).expect("artifact written");
     assert_eq!(&bytes[..4], b"FSCP", "artifact magic");
+    let loaded = filterscope::proxy::artifact::load(&bytes, None).expect("artifact loads");
+    assert_eq!(loaded.source, filterscope::proxy::PolicyData::standard());
+    assert_eq!(loaded.seed, 7);
     assert!(
         !artifact.with_extension("fscp.tmp").exists(),
         "tmp file renamed away"
