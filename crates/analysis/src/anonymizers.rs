@@ -34,7 +34,22 @@ impl AnonymizerStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        if !in_sample(record) {
+        self.add(
+            ctx,
+            record,
+            RequestClass::of_view(record),
+            in_sample(record),
+        );
+    }
+
+    fn add(
+        &mut self,
+        ctx: &AnalysisContext,
+        record: &RecordView<'_>,
+        class: RequestClass,
+        sample: bool,
+    ) {
+        if !sample {
             return;
         }
         if !ctx.categories.is_anonymizer(record.url.host) {
@@ -42,7 +57,7 @@ impl AnonymizerStats {
         }
         let sym = self.interner.intern(record.url.host);
         let c = self.hosts.entry(sym).or_default();
-        match RequestClass::of_view(record) {
+        match class {
             RequestClass::Allowed => c.allowed += 1,
             RequestClass::Censored => c.censored += 1,
             _ => {}
@@ -155,8 +170,15 @@ impl crate::registry::Analysis for AnonymizerStats {
         "Anonymizer services"
     }
 
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        AnonymizerStats::ingest(self, ctx, record);
+    fn ingest_block(
+        &mut self,
+        ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(ctx, record, derived.class(i), derived.in_sample(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

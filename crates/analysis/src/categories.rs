@@ -27,7 +27,13 @@ impl CategoryStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        if RequestClass::of_view(record) != RequestClass::Censored || !in_sample(record) {
+        self.add(ctx, record, RequestClass::of_view(record));
+    }
+
+    /// Sample membership is derived here, for censored records only, rather
+    /// than read from a column computed for every record.
+    fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
+        if class != RequestClass::Censored || !in_sample(record) {
             return;
         }
         self.censored
@@ -81,8 +87,15 @@ impl crate::registry::Analysis for CategoryStats {
         "Censored categories"
     }
 
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        CategoryStats::ingest(self, ctx, record);
+    fn ingest_block(
+        &mut self,
+        ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(ctx, record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -163,8 +163,15 @@ impl crate::registry::Analysis for ConsistencyStats {
         "Log-consistency linter"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        ConsistencyStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        _derived: &crate::Derived<'_>,
+    ) {
+        for record in block {
+            ConsistencyStats::ingest(self, record);
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -8,14 +8,12 @@
 
 use crate::report::{thousands, Table};
 use filterscope_logformat::{classify, ClientId, RecordView};
-use std::fmt::{self, Write as _};
 
 /// Per-mille size of `Dsample` (the paper uses 4 %).
 pub const SAMPLE_PER_MILLE: u64 = 40;
 
 /// Streaming FNV-1a, so sampling hashes field slices in place instead of
-/// assembling a key buffer per record. `fmt::Write` lets `Display` types
-/// (the client id) feed their rendered bytes straight into the hash.
+/// assembling a key buffer per record.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -29,12 +27,39 @@ impl Fnv1a {
             self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
     }
-}
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
+    /// Hash exactly the bytes `ClientId`'s `Display` writes (16 lowercase
+    /// hex digits, a dotted quad, or `0.0.0.0`) without going through
+    /// `core::fmt`.
+    fn update_client(&mut self, client: &ClientId) {
+        match *client {
+            ClientId::Zeroed => self.update(b"0.0.0.0"),
+            ClientId::Hashed(v) => {
+                let mut hex = [0u8; 16];
+                for (i, digit) in hex.iter_mut().enumerate() {
+                    *digit = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
+                }
+                self.update(&hex);
+            }
+            ClientId::Addr(addr) => {
+                for (i, octet) in addr.octets().into_iter().enumerate() {
+                    if i > 0 {
+                        self.update(b".");
+                    }
+                    let digits = [
+                        b'0' + octet / 100,
+                        b'0' + octet / 10 % 10,
+                        b'0' + octet % 10,
+                    ];
+                    let skip = match octet {
+                        100.. => 0,
+                        10.. => 1,
+                        _ => 2,
+                    };
+                    self.update(&digits[skip..]);
+                }
+            }
+        }
     }
 }
 
@@ -48,7 +73,7 @@ pub fn in_sample(record: &RecordView<'_>) -> bool {
     h.update(record.url.path.as_bytes());
     h.update(record.url.query.as_bytes());
     h.update(&record.timestamp.epoch_seconds().to_le_bytes());
-    let _ = write!(h, "{}", record.client);
+    h.update_client(&record.client);
     h.0 % 1000 < SAMPLE_PER_MILLE
 }
 
@@ -85,8 +110,12 @@ impl DatasetCounts {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, in_sample(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, sample: bool) {
         self.full += 1;
-        if in_sample(record) {
+        if sample {
             self.sample += 1;
         }
         if in_user_dataset(record) {
@@ -130,8 +159,15 @@ impl crate::registry::Analysis for DatasetCounts {
         "Dataset membership"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        DatasetCounts::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.in_sample(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
@@ -223,6 +259,29 @@ mod tests {
             .parse_view(&mut splitter, &line, 1)
             .unwrap();
         assert_eq!(in_sample(&parsed), in_sample(&r.as_view()));
+    }
+
+    proptest::proptest! {
+        /// The hand-rolled client bytes equal the `Display` form the
+        /// sample hash was defined over, so sample membership cannot move.
+        #[test]
+        fn client_bytes_equal_the_display_form(
+            variant in 0u8..3,
+            raw in proptest::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let v = raw >> shift;
+            let client = match variant {
+                0 => ClientId::Zeroed,
+                1 => ClientId::Hashed(v),
+                _ => ClientId::Addr(std::net::Ipv4Addr::from(v as u32)),
+            };
+            let mut direct = Fnv1a::new();
+            direct.update_client(&client);
+            let mut shown = Fnv1a::new();
+            shown.update(client.to_string().as_bytes());
+            proptest::prop_assert_eq!(direct.0, shown.0, "client {}", client);
+        }
     }
 
     #[test]

@@ -35,8 +35,15 @@ impl DomainStats {
 
     /// Ingest one record (aggregating by base domain).
     pub fn ingest(&mut self, record: &RecordView<'_>) {
-        let sym = self.interner.intern(&base_domain_of(record.url.host));
-        match RequestClass::of_view(record) {
+        self.add(
+            RequestClass::of_view(record),
+            &base_domain_of(record.url.host),
+        );
+    }
+
+    fn add(&mut self, class: RequestClass, base: &str) {
+        let sym = self.interner.intern(base);
+        match class {
             RequestClass::Allowed => self.allowed.bump(sym),
             RequestClass::Proxied => self.proxied.bump(sym),
             RequestClass::Censored => {
@@ -179,8 +186,15 @@ impl crate::registry::Analysis for DomainStats {
         "Domain popularity"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        DomainStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for i in 0..block.len() {
+            self.add(derived.class(i), derived.base(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -22,13 +22,13 @@
 //!    collapse into a single `.il` entry, as in Table 8.
 
 use crate::context::AnalysisContext;
+use crate::derived::{Columns, Derived};
 use crate::report::{count_pct, Table};
 use filterscope_categorizer::Category;
 use filterscope_core::{Interner, Sym};
 use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{PolicyClass, RecordView, RequestClass};
-use filterscope_match::aho_corasick::AhoCorasickBuilder;
-use filterscope_match::AhoCorasick;
+use filterscope_match::AcDfa;
 use filterscope_proxy::ProfileKind;
 use filterscope_stats::CountMap;
 use std::collections::{HashMap, HashSet};
@@ -62,7 +62,7 @@ pub struct FilterInference {
     /// Matcher over the candidate keyword list the operator supplies (the
     /// paper's "manually identified" strings). Used for Table 10 counts and
     /// for keyword-explained request removal.
-    known: AhoCorasick,
+    known: AcDfa,
     known_strings: Vec<String>,
     interner: Interner,
     tokens: HashMap<Sym, TokenEvidence>,
@@ -72,6 +72,8 @@ pub struct FilterInference {
     view_buf: String,
     /// Scratch buffer holding the lowercased view for tokenization.
     lower_buf: String,
+    /// Per-record known-keyword hits (reused scratch).
+    hits: Vec<usize>,
     /// Per-record token dedup scratch (token sets per URL are tiny, so a
     /// linear-scanned Vec beats a hash set).
     token_scratch: Vec<Sym>,
@@ -87,35 +89,58 @@ impl FilterInference {
     /// [`filterscope_proxy::config::KEYWORDS`]).
     pub fn new(candidates: &[&str]) -> Self {
         FilterInference {
-            known: AhoCorasickBuilder::new()
-                .ascii_case_insensitive(true)
-                .build(candidates),
+            known: AcDfa::build(candidates, true),
             known_strings: candidates.iter().map(|s| s.to_string()).collect(),
             interner: Interner::new(),
             tokens: HashMap::new(),
             domains: HashMap::new(),
             view_buf: String::new(),
             lower_buf: String::new(),
+            hits: Vec::new(),
             token_scratch: Vec::new(),
             keyword_counts: vec![(0, 0, 0); candidates.len()],
         }
     }
 
+    /// The derived columns the ingest body reads.
+    pub const COLUMNS: Columns = Columns::CLASS.with(Columns::POLICY).with(Columns::BASE);
+
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(
+            record,
+            RequestClass::of_view(record),
+            PolicyClass::of_view(record),
+            &base_domain_of(record.url.host),
+        );
+    }
+
+    /// Ingest a block whose `derived` holds [`FilterInference::COLUMNS`].
+    pub fn ingest_block(&mut self, block: &[RecordView<'_>], derived: &Derived<'_>) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i), derived.policy(i), derived.base(i));
+        }
+    }
+
+    /// The ingest body. §5.4 treats PROXIED separately from OBSERVED (a
+    /// PROXIED row is not evidence of "allowed"), hence both classes.
+    pub(crate) fn add(
+        &mut self,
+        record: &RecordView<'_>,
+        class: RequestClass,
+        policy: PolicyClass,
+        base: &str,
+    ) {
         self.view_buf.clear();
         record.url.filter_view_into(&mut self.view_buf);
         let view = &self.view_buf;
-        let class = RequestClass::of_view(record);
-        // §5.4 treats PROXIED separately from OBSERVED: a PROXIED row is not
-        // evidence of "allowed".
-        let policy = PolicyClass::of_view(record);
-        let domain = self.interner.intern(&base_domain_of(record.url.host));
+        let domain = self.interner.intern(base);
 
         // Known-keyword counting (Table 10 columns).
-        let hits = self.known.matching_patterns(view.as_bytes());
-        for k in &hits {
-            let c = &mut self.keyword_counts[*k];
+        self.known
+            .matching_patterns_into(view.as_bytes(), &mut self.hits);
+        for &k in &self.hits {
+            let c = &mut self.keyword_counts[k];
             match class {
                 RequestClass::Proxied => c.2 += 1,
                 _ => match policy {
@@ -135,7 +160,7 @@ impl FilterInference {
                 if record.url.is_bare() {
                     d.censored_bare += 1;
                 }
-                if hits.is_empty() {
+                if self.hits.is_empty() {
                     d.censored_unkeyworded += 1;
                 }
             }
@@ -502,8 +527,13 @@ impl crate::registry::Analysis for InferenceAnalysis {
         "Filter inference (5.4 recovery)"
     }
 
-    fn ingest(&mut self, _ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.inner.ingest(record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &Derived<'_>,
+    ) {
+        self.inner.ingest_block(block, derived);
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
@@ -669,8 +699,15 @@ impl crate::registry::Analysis for MechanismInference {
         "Censorship-mechanism inference"
     }
 
-    fn ingest(&mut self, _ctx: &AnalysisContext, record: &RecordView<'_>) {
-        MechanismInference::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &AnalysisContext,
+        block: &[RecordView<'_>],
+        _derived: &Derived<'_>,
+    ) {
+        for record in block {
+            MechanismInference::ingest(self, record);
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

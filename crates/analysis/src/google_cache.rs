@@ -47,11 +47,15 @@ impl GoogleCacheStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         if record.url.host != CACHE_HOST {
             return;
         }
         self.total += 1;
-        match RequestClass::of_view(record) {
+        match class {
             RequestClass::Censored => self.censored += 1,
             RequestClass::Allowed => {
                 if let Some(target) = cache_target(record.url.query) {
@@ -101,8 +105,15 @@ impl crate::registry::Analysis for GoogleCacheStats {
         "Google-cache accesses"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        GoogleCacheStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -33,6 +33,10 @@ impl HttpsStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         self.total_requests += 1;
         if !record.scheme().is_encrypted() {
             return;
@@ -46,7 +50,7 @@ impl HttpsStats {
         if !trivial_path || !record.url.query.is_empty() || !record.uri_ext.is_empty() {
             self.mitm_evidence += 1;
         }
-        if RequestClass::of_view(record) == RequestClass::Censored {
+        if class == RequestClass::Censored {
             self.https_censored += 1;
             if record.url.host_is_ip() {
                 self.censored_ip_host += 1;
@@ -127,8 +131,15 @@ impl crate::registry::Analysis for HttpsStats {
         "HTTPS traffic and MITM check"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        HttpsStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -52,10 +52,13 @@ impl IpCensorship {
 
     /// Ingest one record (ignores records whose host is not a literal IP).
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
+        self.add(ctx, record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         let Some(ip) = record.url.host_ip() else {
             return;
         };
-        let class = RequestClass::of_view(record);
         let country = ctx.geo.lookup(ip);
         let counts = match country {
             Some(c) => self.by_country.entry(c).or_default(),
@@ -190,8 +193,15 @@ impl crate::registry::Analysis for IpCensorship {
         "IP-based censorship"
     }
 
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        IpCensorship::ingest(self, ctx, record);
+    fn ingest_block(
+        &mut self,
+        ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(ctx, record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -38,6 +38,7 @@ pub mod comparison;
 pub mod consistency;
 pub mod context;
 pub mod datasets;
+pub mod derived;
 pub mod domains;
 pub mod export;
 pub mod filter_inference;
@@ -62,6 +63,7 @@ pub mod users;
 pub mod weather;
 
 pub use context::AnalysisContext;
+pub use derived::{Columns, Derived};
 pub use filter_inference::{classify_mechanism_view, MechanismInference};
 pub use pipeline::{IngestStats, ParallelIngest, ShardSink};
 pub use registry::{Analysis, AnalysisEntry, CostClass, Selection, SuiteParams, REGISTRY};

@@ -23,9 +23,9 @@ pub struct RowCounts {
 }
 
 impl RowCounts {
-    fn add(&mut self, record: &RecordView<'_>) {
+    fn add(&mut self, record: &RecordView<'_>, sample: bool) {
         self.full += 1;
-        if in_sample(record) {
+        if sample {
             self.sample += 1;
         }
         if in_user_dataset(record) {
@@ -73,25 +73,29 @@ impl TrafficOverview {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.total.add(record);
+        self.add(record, in_sample(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, sample: bool) {
+        self.total.add(record, sample);
         match record.filter_result {
-            FilterResult::Proxied => self.proxied.add(record),
+            FilterResult::Proxied => self.proxied.add(record, sample),
             FilterResult::Observed => {
                 if record.exception_is_none() {
-                    self.allowed.add(record);
+                    self.allowed.add(record, sample);
                 } else {
                     // Degenerate combination; count it under its exception.
-                    self.count_exception(record);
+                    self.count_exception(record, sample);
                 }
             }
             FilterResult::Denied => {
-                self.denied_total.add(record);
-                self.count_exception(record);
+                self.denied_total.add(record, sample);
+                self.count_exception(record, sample);
             }
         }
     }
 
-    fn count_exception(&mut self, record: &RecordView<'_>) {
+    fn count_exception(&mut self, record: &RecordView<'_>, sample: bool) {
         // Match on the raw spelling; allocate an `ExceptionId` only for the
         // first sighting of a long-tail exception.
         if let Some((_, counts)) = self
@@ -99,11 +103,11 @@ impl TrafficOverview {
             .iter_mut()
             .find(|(k, _)| k.as_str() == record.exception)
         {
-            counts.add(record);
+            counts.add(record, sample);
         } else {
             self.by_exception.push((record.exception_id(), {
                 let mut c = RowCounts::default();
-                c.add(record);
+                c.add(record, sample);
                 c
             }));
         }
@@ -181,8 +185,15 @@ impl crate::registry::Analysis for TrafficOverview {
         "Traffic overview"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        TrafficOverview::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.in_sample(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -32,6 +32,10 @@ impl BitTorrentStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
+        self.add(ctx, record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         if !AnnounceRequest::is_announce_path(record.url.path) {
             return;
         }
@@ -40,7 +44,7 @@ impl BitTorrentStats {
             return;
         };
         self.announces += 1;
-        if RequestClass::of_view(record) == RequestClass::Censored {
+        if class == RequestClass::Censored {
             self.censored_announces += 1;
         }
         self.peers.insert(announce.peer_id);
@@ -127,8 +131,15 @@ impl crate::registry::Analysis for BitTorrentStats {
         "BitTorrent activity"
     }
 
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        BitTorrentStats::ingest(self, ctx, record);
+    fn ingest_block(
+        &mut self,
+        ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(ctx, record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -33,6 +33,7 @@
 //! schema without replaying the file prefix.
 
 use crate::context::AnalysisContext;
+use crate::derived::Derived;
 use crate::filter_inference::FilterInference;
 use crate::registry::{Selection, SuiteParams};
 use crate::suite::AnalysisSuite;
@@ -77,6 +78,11 @@ impl ShardSink for FilterInference {
         FilterInference::ingest(self, record);
     }
 
+    fn ingest_block(&mut self, block: &[RecordView<'_>]) {
+        let derived = Derived::compute(block, FilterInference::COLUMNS);
+        FilterInference::ingest_block(self, block, &derived);
+    }
+
     fn absorb(&mut self, other: Self) {
         self.merge(other);
     }
@@ -85,6 +91,11 @@ impl ShardSink for FilterInference {
 impl ShardSink for WeatherReport {
     fn ingest(&mut self, record: &RecordView<'_>) {
         WeatherReport::ingest(self, record);
+    }
+
+    fn ingest_block(&mut self, block: &[RecordView<'_>]) {
+        let derived = Derived::compute(block, FilterInference::COLUMNS);
+        WeatherReport::ingest_block(self, block, &derived);
     }
 
     fn absorb(&mut self, other: Self) {
@@ -385,17 +396,24 @@ impl ParallelIngest {
     }
 }
 
+/// The monitor's stop flag and the condvar that announces it.
+type Shutdown = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
+
 /// Background stderr reporter for long ingests: prints one
 /// `{label}: pct — MB/s, ETA` line per tick (first tick after one second, so
 /// short runs stay silent).
 struct EtaMonitor {
-    shutdown: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    shutdown: Shutdown,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl EtaMonitor {
     fn spawn(label: &str, consumed: Arc<AtomicU64>, total: u64) -> EtaMonitor {
         let shutdown = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        EtaMonitor::start(shutdown, label, consumed, total)
+    }
+
+    fn start(shutdown: Shutdown, label: &str, consumed: Arc<AtomicU64>, total: u64) -> EtaMonitor {
         let signal = Arc::clone(&shutdown);
         let label = label.to_string();
         let handle = std::thread::spawn(move || {
@@ -403,15 +421,15 @@ impl EtaMonitor {
             let tick = Duration::from_millis(1000);
             let (lock, cvar) = &*signal;
             let mut stopped = lock.lock().expect("monitor lock");
-            loop {
+            // The flag is checked under the lock before every wait: a stop
+            // signalled before this thread first took the lock has no waiter
+            // to wake, and waiting anyway would hold `finish` for a tick.
+            while !*stopped {
                 let (guard, timeout) = cvar
                     .wait_timeout(stopped, tick)
                     .expect("monitor wait_timeout");
                 stopped = guard;
-                if *stopped {
-                    return;
-                }
-                if timeout.timed_out() {
+                if !*stopped && timeout.timed_out() {
                     let done = consumed.load(Ordering::Relaxed);
                     eprintln!("{}", progress.eta_line(&label, done, total));
                 }
@@ -703,6 +721,33 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Error::Io(_)));
+    }
+
+    #[test]
+    fn eta_monitor_sees_a_stop_signalled_before_it_runs() {
+        // Signal the stop while holding the lock across the spawn, so the
+        // monitor thread can only take the lock after the notify has gone
+        // out with no waiter: it must read the flag instead of waiting a
+        // whole tick for a wakeup that already happened.
+        let shutdown: Shutdown =
+            Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let monitor = {
+            let (lock, cvar) = &*shutdown;
+            let mut stopped = lock.lock().unwrap();
+            let monitor = EtaMonitor::start(
+                Arc::clone(&shutdown),
+                "test",
+                Arc::new(AtomicU64::new(0)),
+                1,
+            );
+            *stopped = true;
+            cvar.notify_all();
+            monitor
+        };
+        let at = Instant::now();
+        monitor.finish();
+        let took = at.elapsed();
+        assert!(took < Duration::from_millis(200), "finish took {took:?}");
     }
 
     #[test]

@@ -19,7 +19,11 @@ impl PortStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
-        match RequestClass::of_view(record) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
+        match class {
             RequestClass::Allowed => self.allowed.bump(record.url.port),
             RequestClass::Censored => self.censored.bump(record.url.port),
             _ => {}
@@ -73,8 +77,15 @@ impl crate::registry::Analysis for PortStats {
         "Destination ports"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        PortStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -50,12 +50,18 @@ impl ProxyStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    /// The base domain is derived here, for censored records of one day
+    /// only, rather than read from a column computed for every record.
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         let Some(proxy) = record.proxy() else { return };
         let i = proxy.index();
         let label = self.interner.intern(record.categories);
         *self.category_labels[i].entry(label).or_insert(0) += 1;
         self.load[i].record(record.timestamp);
-        if RequestClass::of_view(record) == RequestClass::Censored {
+        if class == RequestClass::Censored {
             self.censored_load[i].record(record.timestamp);
             if record.timestamp.date() == self.similarity_day {
                 let sym = self.interner.intern(&base_domain_of(record.url.host));
@@ -212,8 +218,15 @@ impl crate::registry::Analysis for ProxyStats {
         "Per-proxy load and similarity"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        ProxyStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -126,8 +126,15 @@ impl crate::registry::Analysis for RedirectStats {
         "Policy redirects"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        RedirectStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        _derived: &crate::Derived<'_>,
+    ) {
+        for record in block {
+            RedirectStats::ingest(self, record);
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

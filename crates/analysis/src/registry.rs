@@ -21,6 +21,7 @@
 //! the survivors.
 
 use crate::context::AnalysisContext;
+use crate::derived::{Columns, Derived};
 use filterscope_core::{ByteReader, ByteWriter, Json};
 use filterscope_logformat::RecordView;
 use std::any::Any;
@@ -58,19 +59,17 @@ pub trait Analysis: AsAny + Send + Sync {
     /// Human-readable name for listings.
     fn title(&self) -> &'static str;
 
-    /// Feed one parsed record view.
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>);
-
-    /// Feed a whole block of parsed record views. The default loops
-    /// [`Analysis::ingest`], so every implementation is batch-equivalent by
-    /// construction; the point of the method is dispatch amortization — the
-    /// block ingest path pays one virtual call per analysis per *block*
-    /// instead of per record.
-    fn ingest_block(&mut self, ctx: &AnalysisContext, block: &[RecordView<'_>]) {
-        for record in block {
-            self.ingest(ctx, record);
-        }
-    }
+    /// Feed a block of parsed record views together with its derived
+    /// columns — at least the [`AnalysisEntry::columns`] this analysis
+    /// declares. The only ingest entry: one virtual call per analysis per
+    /// block, and every per-record fact several analyses read is derived
+    /// once per block by [`crate::AnalysisSuite::ingest_block`].
+    fn ingest_block(
+        &mut self,
+        ctx: &AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &Derived<'_>,
+    );
 
     /// Fold a sibling shard in. The shard must be the same concrete type;
     /// implementations downcast via [`downcast`] and delegate to their
@@ -188,6 +187,8 @@ pub struct AnalysisEntry {
     /// exports nothing). Not paper order: the historical summary layout
     /// puts §4 HTTPS before Tor.
     pub export_rank: Option<u32>,
+    /// The derived columns this analysis's ingest reads.
+    pub columns: Columns,
     make: fn(&SuiteParams) -> Box<dyn Analysis>,
 }
 
@@ -208,6 +209,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: None,
+        columns: Columns::SAMPLE,
         make: |_| Box::new(crate::datasets::DatasetCounts::new()),
     },
     AnalysisEntry {
@@ -217,6 +219,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: Some(0),
+        columns: Columns::SAMPLE,
         make: |_| Box::new(crate::overview::TrafficOverview::new()),
     },
     AnalysisEntry {
@@ -226,6 +229,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: None,
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::ports::PortStats::new()),
     },
     AnalysisEntry {
@@ -235,6 +239,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(1),
+        columns: Columns::CLASS.with(Columns::BASE),
         make: |_| Box::new(crate::domains::DomainStats::new()),
     },
     AnalysisEntry {
@@ -244,6 +249,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(2),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::categories::CategoryStats::new()),
     },
     AnalysisEntry {
@@ -253,6 +259,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(3),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::users::UserStats::new()),
     },
     AnalysisEntry {
@@ -262,6 +269,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: None,
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::temporal::TemporalStats::standard()),
     },
     AnalysisEntry {
@@ -271,6 +279,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(4),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::proxies::ProxyStats::standard()),
     },
     AnalysisEntry {
@@ -280,6 +289,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(5),
+        columns: Columns::NONE,
         make: |_| Box::new(crate::redirects::RedirectStats::new()),
     },
     AnalysisEntry {
@@ -289,6 +299,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Heavy,
         in_default_suite: true,
         export_rank: Some(6),
+        columns: crate::filter_inference::FilterInference::COLUMNS,
         make: |p| {
             Box::new(crate::filter_inference::InferenceAnalysis::new(
                 p.inference_candidates,
@@ -303,6 +314,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(7),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::ip_censorship::IpCensorship::standard()),
     },
     AnalysisEntry {
@@ -312,6 +324,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: None,
+        columns: Columns::CLASS.with(Columns::BASE),
         make: |_| Box::new(crate::social::SocialStats::new()),
     },
     AnalysisEntry {
@@ -321,6 +334,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(9),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::tor_usage::TorStats::standard()),
     },
     AnalysisEntry {
@@ -330,6 +344,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(11),
+        columns: Columns::CLASS.with(Columns::SAMPLE),
         make: |_| Box::new(crate::anonymizers::AnonymizerStats::new()),
     },
     AnalysisEntry {
@@ -339,6 +354,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Moderate,
         in_default_suite: true,
         export_rank: Some(10),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::p2p::BitTorrentStats::new()),
     },
     AnalysisEntry {
@@ -348,6 +364,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: Some(8),
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::https::HttpsStats::new()),
     },
     AnalysisEntry {
@@ -357,6 +374,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: None,
+        columns: Columns::CLASS,
         make: |_| Box::new(crate::google_cache::GoogleCacheStats::new()),
     },
     AnalysisEntry {
@@ -366,6 +384,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: true,
         export_rank: Some(12),
+        columns: Columns::NONE,
         make: |_| Box::new(crate::consistency::ConsistencyStats::new()),
     },
     AnalysisEntry {
@@ -375,6 +394,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Heavy,
         in_default_suite: false,
         export_rank: None,
+        columns: crate::filter_inference::FilterInference::COLUMNS,
         make: |p| {
             Box::new(crate::weather::WeatherReport::new(
                 p.min_support,
@@ -389,6 +409,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         cost: CostClass::Cheap,
         in_default_suite: false,
         export_rank: Some(13),
+        columns: Columns::NONE,
         make: |_| Box::new(crate::filter_inference::MechanismInference::new()),
     },
 ];

@@ -122,9 +122,14 @@ impl SocialStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
-        let class = RequestClass::of_view(record);
-        let base = base_domain_of(record.url.host);
-        let base = base.as_ref();
+        self.add(
+            record,
+            RequestClass::of_view(record),
+            &base_domain_of(record.url.host),
+        );
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass, base: &str) {
         if let Some(panel) = OSN_PANEL.iter().find(|d| **d == base) {
             self.osn.entry(panel).or_default().add(class);
         }
@@ -296,8 +301,15 @@ impl crate::registry::Analysis for SocialStats {
         "Social-media censorship"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        SocialStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i), derived.base(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -13,6 +13,7 @@ use crate::categories::CategoryStats;
 use crate::consistency::ConsistencyStats;
 use crate::context::AnalysisContext;
 use crate::datasets::DatasetCounts;
+use crate::derived::{Columns, Derived};
 use crate::domains::DomainStats;
 use crate::filter_inference::{FilterInference, InferenceAnalysis};
 use crate::google_cache::GoogleCacheStats;
@@ -40,6 +41,8 @@ pub struct AnalysisSuite {
     analyses: Vec<Box<dyn Analysis>>,
     params: SuiteParams,
     selection: Selection,
+    /// Union of the selected entries' derived columns.
+    columns: Columns,
     /// Minimum censored support for §5.4 recovery, adapted to corpus scale.
     pub min_support: u64,
 }
@@ -54,18 +57,18 @@ impl AnalysisSuite {
 
     /// Build exactly the selected analyses from the registry.
     pub fn with_selection(params: &SuiteParams, selection: &Selection) -> Self {
+        let entries: Vec<_> = selection
+            .keys()
+            .iter()
+            .map(|key| registry::entry(key).expect("selection keys are registry-validated"))
+            .collect();
         AnalysisSuite {
-            analyses: selection
-                .keys()
-                .iter()
-                .map(|key| {
-                    registry::entry(key)
-                        .expect("selection keys are registry-validated")
-                        .build(params)
-                })
-                .collect(),
+            analyses: entries.iter().map(|e| e.build(params)).collect(),
             params: *params,
             selection: selection.clone(),
+            columns: entries
+                .iter()
+                .fold(Columns::NONE, |cols, e| cols.with(e.columns)),
             min_support: params.min_support,
         }
     }
@@ -103,21 +106,20 @@ impl AnalysisSuite {
         self.analyses.iter().map(|a| a.key()).collect()
     }
 
-    /// Ingest one record view into every selected analysis. Owned records
-    /// bridge in via [`filterscope_logformat::LogRecord::as_view`].
+    /// Ingest one record view into every selected analysis: a one-record
+    /// [`AnalysisSuite::ingest_block`]. Owned records bridge in via
+    /// [`filterscope_logformat::LogRecord::as_view`].
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        for analysis in &mut self.analyses {
-            analysis.ingest(ctx, record);
-        }
+        self.ingest_block(ctx, std::slice::from_ref(record));
     }
 
-    /// Feed a whole block of records to every analysis: one virtual call per
-    /// analysis per block instead of per record (see
-    /// [`crate::registry::Analysis::ingest_block`]). Equivalent to calling
-    /// [`AnalysisSuite::ingest`] for each record in order.
+    /// Feed a whole block of records to every analysis. The block's derived
+    /// columns (the union the selection declares) are computed once here,
+    /// then each analysis takes one virtual call per block.
     pub fn ingest_block(&mut self, ctx: &AnalysisContext, block: &[RecordView<'_>]) {
+        let derived = Derived::compute(block, self.columns);
         for analysis in &mut self.analyses {
-            analysis.ingest_block(ctx, block);
+            analysis.ingest_block(ctx, block, &derived);
         }
     }
 

@@ -50,9 +50,15 @@ impl TemporalStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    /// The base domain is derived here, for censored records of one day
+    /// only, rather than read from a column computed for every record.
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         let ts = record.timestamp;
         self.all.record(ts);
-        match RequestClass::of_view(record) {
+        match class {
             RequestClass::Allowed => self.allowed.record(ts),
             RequestClass::Censored => {
                 self.censored.record(ts);
@@ -242,8 +248,15 @@ impl crate::registry::Analysis for TemporalStats {
         "Censorship time series"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        TemporalStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

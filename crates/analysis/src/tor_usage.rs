@@ -61,7 +61,10 @@ impl TorStats {
 
     /// Ingest one record.
     pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        let class = RequestClass::of_view(record);
+        self.add(ctx, record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         // Fig. 8b needs SG-44's overall profile regardless of Tor-ness.
         if record.proxy() == Some(ProxyId::Sg44) {
             self.sg44_all.record(record.timestamp);
@@ -210,8 +213,15 @@ impl crate::registry::Analysis for TorStats {
         "Tor usage and blocking"
     }
 
-    fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        TorStats::ingest(self, ctx, record);
+    fn ingest_block(
+        &mut self,
+        ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(ctx, record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -40,13 +40,17 @@ impl UserStats {
 
     /// Ingest one record (ignores non-`Duser` records).
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.add(record, RequestClass::of_view(record));
+    }
+
+    fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         if !in_user_dataset(record) {
             return;
         }
         let Some(key) = user_key(record) else { return };
         let c = self.users.entry(key).or_default();
         c.total += 1;
-        if RequestClass::of_view(record) == RequestClass::Censored {
+        if class == RequestClass::Censored {
             c.censored += 1;
         }
     }
@@ -164,8 +168,15 @@ impl crate::registry::Analysis for UserStats {
         "User behaviour"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        UserStats::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        for (i, record) in block.iter().enumerate() {
+            self.add(record, derived.class(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

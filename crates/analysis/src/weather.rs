@@ -61,10 +61,21 @@ impl WeatherReport {
 
     /// Ingest one record into its day's inference.
     pub fn ingest(&mut self, record: &RecordView<'_>) {
+        self.day(record).ingest(record);
+    }
+
+    /// Ingest a block whose `derived` holds [`FilterInference::COLUMNS`].
+    pub fn ingest_block(&mut self, block: &[RecordView<'_>], derived: &crate::Derived<'_>) {
+        for (i, record) in block.iter().enumerate() {
+            self.day(record)
+                .add(record, derived.class(i), derived.policy(i), derived.base(i));
+        }
+    }
+
+    fn day(&mut self, record: &RecordView<'_>) -> &mut FilterInference {
         self.days
             .entry(record.timestamp.date())
             .or_insert_with(|| FilterInference::new(&[]))
-            .ingest(record);
     }
 
     /// Merge a shard.
@@ -177,8 +188,13 @@ impl crate::registry::Analysis for WeatherReport {
         "Censorship weather report"
     }
 
-    fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
-        WeatherReport::ingest(self, record);
+    fn ingest_block(
+        &mut self,
+        _ctx: &crate::AnalysisContext,
+        block: &[RecordView<'_>],
+        derived: &crate::Derived<'_>,
+    ) {
+        WeatherReport::ingest_block(self, block, derived);
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {

@@ -186,6 +186,11 @@ impl AhoCorasick {
         !self.states[s as usize].out.is_empty()
     }
 
+    /// Patterns ending at (or fail-propagated into) state `s`.
+    pub(crate) fn state_outputs(&self, s: u32) -> &[u32] {
+        &self.states[s as usize].out
+    }
+
     /// The normalized bytes with an outgoing edge anywhere in the automaton
     /// — the alphabet the DFA compiler builds byte classes from.
     pub(crate) fn used_bytes(&self) -> [bool; 256] {

@@ -30,6 +30,10 @@ pub struct AcDfa {
     trans: Vec<u32>,
     /// Per-state "some pattern ends here" flag.
     matches: Vec<bool>,
+    /// Per-state output lists in CSR form: the patterns ending at state `s`
+    /// are `outputs[output_start[s]..output_start[s + 1]]`.
+    output_start: Vec<u32>,
+    outputs: Vec<u32>,
 }
 
 impl AcDfa {
@@ -81,6 +85,9 @@ impl AcDfa {
         let state_count = ac.state_count() as u32;
         let mut trans = Vec::with_capacity(state_count as usize * class_count as usize);
         let mut matches = Vec::with_capacity(state_count as usize);
+        let mut output_start = Vec::with_capacity(state_count as usize + 1);
+        let mut outputs = Vec::new();
+        output_start.push(0);
         for s in 0..state_count {
             for c in 0..class_count {
                 // `step` re-folds case; representatives are already
@@ -88,6 +95,8 @@ impl AcDfa {
                 trans.push(ac.step(s, rep_of_class[c as usize]));
             }
             matches.push(ac.state_is_match(s));
+            outputs.extend_from_slice(ac.state_outputs(s));
+            output_start.push(outputs.len() as u32);
         }
         AcDfa {
             classes,
@@ -95,6 +104,8 @@ impl AcDfa {
             state_count,
             trans,
             matches,
+            output_start,
+            outputs,
         }
     }
 
@@ -109,6 +120,27 @@ impl AcDfa {
             }
         }
         false
+    }
+
+    /// The distinct patterns occurring in `haystack`, sorted, written into
+    /// `out` (cleared first, so one scratch `Vec` serves every call).
+    /// Equals [`AhoCorasick::matching_patterns`] on the source automaton.
+    pub fn matching_patterns_into(&self, haystack: &[u8], out: &mut Vec<usize>) {
+        out.clear();
+        let cc = self.class_count as usize;
+        let mut state = 0usize;
+        for &b in haystack {
+            state = self.trans[state * cc + self.classes[b as usize] as usize] as usize;
+            if self.matches[state] {
+                let outs = &self.outputs
+                    [self.output_start[state] as usize..self.output_start[state + 1] as usize];
+                out.extend(outs.iter().map(|&p| p as usize));
+            }
+        }
+        if out.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
     }
 
     /// Number of DFA states (diagnostics).
@@ -185,6 +217,18 @@ mod tests {
         assert!(dfa.is_match("MONITOR"));
         assert!(dfa.is_match("ToR"));
         assert!(!dfa.is_match("t-o-r"));
+    }
+
+    #[test]
+    fn matching_patterns_into_reports_each_pattern_once_sorted() {
+        let (ac, dfa) = dfa(&["she", "he", "hers", "", "HE"], true);
+        let mut out = vec![99];
+        for hay in ["ushers", "He said hers, she said", "", "nothing"] {
+            dfa.matching_patterns_into(hay.as_bytes(), &mut out);
+            assert_eq!(out, ac.matching_patterns(hay), "haystack {hay:?}");
+        }
+        dfa.matching_patterns_into(b"ushers", &mut out);
+        assert_eq!(out, [0, 1, 2, 4]);
     }
 
     #[test]

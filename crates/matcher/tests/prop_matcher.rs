@@ -85,6 +85,33 @@ proptest! {
         }
     }
 
+    /// The DFA's keyword set equals the automaton's: small alphabets force
+    /// overlapping and nested patterns, `{0,4}` admits empty ones, and the
+    /// large arm runs past 64 patterns.
+    #[test]
+    fn ac_dfa_matching_patterns_equals_automaton(
+        few in proptest::collection::vec("[a-cA-C]{0,4}", 0..8),
+        many in proptest::collection::vec("[a-dA-D]{0,5}", 65..100),
+        haystacks in proptest::collection::vec("[a-eA-E]{0,40}", 1..8),
+        ci in any::<bool>(),
+    ) {
+        let mut scratch = vec![usize::MAX];
+        for patterns in [&few, &many] {
+            let ac = filterscope_match::aho_corasick::AhoCorasickBuilder::new()
+                .ascii_case_insensitive(ci)
+                .build(patterns);
+            let dfa = AcDfa::from_automaton(&ac);
+            for hay in &haystacks {
+                dfa.matching_patterns_into(hay.as_bytes(), &mut scratch);
+                prop_assert_eq!(
+                    &scratch,
+                    &ac.matching_patterns(hay.as_bytes()),
+                    "haystack {:?} patterns {:?}", hay, patterns
+                );
+            }
+        }
+    }
+
     /// The flat domain index agrees with the pointer-chasing trie on
     /// arbitrary entries and hosts.
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the block-oriented record path: block-split parsing
 //! must be equivalent to line-at-a-time `parse_view` at arbitrary block
-//! sizes over arbitrary (including malformed) input, and batched suite
-//! ingest must be equivalent to per-record ingest for every registry key.
+//! sizes over arbitrary (including malformed) input; suite ingest must not
+//! depend on how records are cut into blocks, for every registry key; and
+//! every analysis must read only the derived columns it declares.
 
 use filterscope::analysis::registry::REGISTRY;
 use filterscope::core::Timestamp;
@@ -122,30 +123,76 @@ proptest! {
         prop_assert_eq!(line_no, want_lines);
     }
 
-    /// `AnalysisSuite::ingest_block` is observationally identical to
-    /// per-record `ingest` for every analysis in the registry: same
-    /// rendered reports, same JSON summary.
+    /// Suite ingest is observationally identical however the records are
+    /// cut into blocks, for every registry key alone and for all of them
+    /// together: one block, blocks split at arbitrary points, and size-1
+    /// blocks (`ingest`) give the same rendered reports and JSON summary.
     #[test]
     fn ingest_block_equals_per_record(
+        reqs in proptest::collection::vec(prop_block_request(), 1..30),
+        cuts in proptest::collection::vec(0usize..30, 0..5),
+    ) {
+        let farm = ProxyFarm::standard();
+        let records: Vec<LogRecord> = reqs.iter().map(|r| farm.process(r)).collect();
+        let views: Vec<_> = records.iter().map(|r| r.as_view()).collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(views.len())).collect();
+        cuts.push(0);
+        cuts.push(views.len());
+        cuts.sort_unstable();
+        let ctx = AnalysisContext::standard(None);
+        let params = SuiteParams::new(1);
+        let mut selections = vec![Selection::everything()];
+        selections.extend(REGISTRY.iter().map(|e| Selection::pinned(e.key)));
+        for selection in &selections {
+            let mut whole = AnalysisSuite::with_selection(&params, selection);
+            whole.ingest_block(&ctx, &views);
+            let mut split = AnalysisSuite::with_selection(&params, selection);
+            for pair in cuts.windows(2) {
+                split.ingest_block(&ctx, &views[pair[0]..pair[1]]);
+            }
+            let mut single = AnalysisSuite::with_selection(&params, selection);
+            for v in &views {
+                single.ingest(&ctx, v);
+            }
+            let want = (whole.render_all(&ctx), whole.summary_json(&ctx));
+            for (how, suite) in [("split", &split), ("size-1", &single)] {
+                prop_assert_eq!(
+                    (suite.render_all(&ctx), suite.summary_json(&ctx)),
+                    want.clone(),
+                    "{} blocks, selection {:?}", how, selection.keys()
+                );
+            }
+        }
+    }
+
+    /// Every analysis selected alone renders and exports exactly what it
+    /// does inside the full selection. A registry entry that reads a
+    /// derived column it does not declare fails here: alone, the column is
+    /// not computed.
+    #[test]
+    fn each_analysis_alone_matches_its_section_of_everything(
         reqs in proptest::collection::vec(prop_block_request(), 1..30),
     ) {
         let farm = ProxyFarm::standard();
         let records: Vec<LogRecord> = reqs.iter().map(|r| farm.process(r)).collect();
         let views: Vec<_> = records.iter().map(|r| r.as_view()).collect();
-        let keys: Vec<&str> = REGISTRY.iter().map(|e| e.key).collect();
-        let selection = Selection::only(&keys).expect("registry keys select");
         let ctx = AnalysisContext::standard(None);
         let params = SuiteParams::new(1);
-
-        let mut per_record = AnalysisSuite::with_selection(&params, &selection);
-        for v in &views {
-            per_record.ingest(&ctx, v);
+        let mut everything = AnalysisSuite::with_selection(&params, &Selection::everything());
+        everything.ingest_block(&ctx, &views);
+        for (entry, full) in REGISTRY.iter().zip(everything.analyses()) {
+            let selection = Selection::only(&[entry.key]).expect("registry key");
+            let mut alone = AnalysisSuite::with_selection(&params, &selection);
+            alone.ingest_block(&ctx, &views);
+            let alone = &alone.analyses()[0];
+            prop_assert_eq!(alone.key(), full.key());
+            prop_assert_eq!(alone.render(&ctx), full.render(&ctx), "analysis {}", entry.key);
+            prop_assert_eq!(
+                alone.export_json(&ctx),
+                full.export_json(&ctx),
+                "analysis {}", entry.key
+            );
         }
-        let mut batched = AnalysisSuite::with_selection(&params, &selection);
-        batched.ingest_block(&ctx, &views);
-
-        prop_assert_eq!(per_record.render_all(&ctx), batched.render_all(&ctx));
-        prop_assert_eq!(per_record.summary_json(&ctx), batched.summary_json(&ctx));
     }
 }
 
