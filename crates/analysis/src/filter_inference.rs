@@ -89,7 +89,7 @@ impl FilterInference {
     /// [`filterscope_proxy::config::KEYWORDS`]).
     pub fn new(candidates: &[&str]) -> Self {
         FilterInference {
-            known: AcDfa::build(candidates, true),
+            known: AcDfa::build(candidates),
             known_strings: candidates.iter().map(|s| s.to_string()).collect(),
             interner: Interner::new(),
             tokens: HashMap::new(),

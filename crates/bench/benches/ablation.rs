@@ -5,8 +5,7 @@
 use filterscope_bench::corpus;
 use filterscope_bench::harness::{black_box, Harness};
 use filterscope_core::Ipv4Cidr;
-use filterscope_match::aho_corasick::AhoCorasickBuilder;
-use filterscope_match::{naive, CidrSet, DomainTrie};
+use filterscope_match::{naive, AcDfa, CidrSet, DomainTrie};
 use filterscope_proxy::config::{BLOCKED_DOMAINS, BLOCKED_SUBNETS, KEYWORDS};
 use filterscope_stats::{CountMap, SpaceSaving};
 use std::net::Ipv4Addr;
@@ -22,16 +21,14 @@ fn bench_ablation(c: &mut Harness) {
         .take(records.len())
         .collect();
 
-    // --- keyword scanning: Aho-Corasick vs naive multi-substring ---------
+    // --- keyword scanning: the engine's DFA vs naive multi-substring -----
     let mut g = c.benchmark_group("ablation_keyword_scan");
-    let ac = AhoCorasickBuilder::new()
-        .ascii_case_insensitive(true)
-        .build(KEYWORDS);
-    g.bench_function("aho_corasick", |b| {
+    let dfa = AcDfa::build(KEYWORDS);
+    g.bench_function("ac_dfa", |b| {
         b.iter(|| {
             let mut hits = 0u64;
             for v in &views {
-                if ac.is_match(v.as_bytes()) {
+                if dfa.is_match(v.as_bytes()) {
                     hits += 1;
                 }
             }
@@ -50,17 +47,14 @@ fn bench_ablation(c: &mut Harness) {
             black_box(hits)
         })
     });
-    // The crossover case: with a blacklist of ~100 patterns (the domain list
-    // used as substrings) the automaton's single pass dominates the
-    // per-pattern scan.
-    let big_ac = AhoCorasickBuilder::new()
-        .ascii_case_insensitive(true)
-        .build(BLOCKED_DOMAINS.iter().copied());
-    g.bench_function("aho_corasick_100_patterns", |b| {
+    // A blacklist of ~100 patterns (the domain list used as substrings):
+    // the DFA's cost per byte does not grow with the pattern count.
+    let big_dfa = AcDfa::build(BLOCKED_DOMAINS);
+    g.bench_function("ac_dfa_100_patterns", |b| {
         b.iter(|| {
             let mut hits = 0u64;
             for v in &views {
-                if big_ac.is_match(v.as_bytes()) {
+                if big_dfa.is_match(v.as_bytes()) {
                     hits += 1;
                 }
             }

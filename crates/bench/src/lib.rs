@@ -9,8 +9,8 @@
 //! * `throughput` — log-line parse rate, policy decisions/s, end-to-end
 //!   generation+analysis rate, and the sharded parallel-ingest path at 1
 //!   thread vs all cores (the case for a Rust implementation);
-//! * `ablation` — the design choices DESIGN.md calls out: Aho–Corasick vs
-//!   naive scanning, domain trie vs suffix checks, CidrSet vs linear scan,
+//! * `ablation` — the design choices DESIGN.md calls out: the keyword DFA
+//!   vs naive scanning, domain trie vs suffix checks, CidrSet vs linear scan,
 //!   Space-Saving vs exact counting;
 //! * `readout` — the bounded top-n read-outs a `serve` publish renders,
 //!   at ~75k distinct keys.

@@ -16,6 +16,9 @@
 //! 3. **Time ban** — no `Instant::now`/`SystemTime::now` in
 //!    model-checked code paths: wall-clock reads make schedules
 //!    irreproducible, so deadlines are injected as closures.
+//! 4. **Rename ban** — no bare `fs::rename` outside `crates/core/src/fs.rs`:
+//!    `core::fs::atomic_write` is the one tmp-write-fsync-rename, so a
+//!    file is never published without its data synced first.
 //!
 //! The scan is deliberately dumb (no parser, no new dependencies): it
 //! understands just enough Rust lexical structure to blank non-code
@@ -32,7 +35,7 @@ pub struct Violation {
     /// 1-based line.
     pub line: usize,
     /// Stable rule id: `bare-sync`, `unsafe-header`, `unsafe-use`,
-    /// `wall-clock`.
+    /// `wall-clock`, `bare-rename`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -71,6 +74,9 @@ const TIME_BANNED: &[&str] = &[
 /// The crate allowed to keep `#![deny(unsafe_code)]` instead of forbid
 /// (its `shutdown.rs` carries the workspace's one `allow`).
 const DENY_EXCEPTION: &str = "crates/stream/src/lib.rs";
+
+/// The one file allowed to call `fs::rename` (inside `atomic_write`).
+const RENAME_EXCEPTION: &str = "crates/core/src/fs.rs";
 
 /// The one file allowed to contain `unsafe` (with a Safety comment).
 const UNSAFE_EXCEPTION: &str = "crates/stream/src/shutdown.rs";
@@ -287,6 +293,22 @@ pub fn check_source(path: &str, source: &str) -> Vec<Violation> {
         }
     }
 
+    if path != RENAME_EXCEPTION {
+        for (idx, line) in stripped.lines().enumerate() {
+            if contains_word(line, "fs::rename") {
+                violations.push(Violation {
+                    file: path.to_string(),
+                    line: idx + 1,
+                    rule: "bare-rename",
+                    message: format!(
+                        "bare fs::rename outside {RENAME_EXCEPTION}; publish files with \
+                         core::fs::atomic_write so the data is synced before the rename"
+                    ),
+                });
+            }
+        }
+    }
+
     // Unsafe usage: banned everywhere except the documented exception.
     if path != UNSAFE_EXCEPTION {
         for (idx, line) in stripped.lines().enumerate() {
@@ -443,6 +465,21 @@ let keep = std_sync_free();
         // Arc is fine even in guarded modules.
         let ok = "use std::sync::Arc;\nuse std::sync::atomic::Ordering;\n";
         assert!(check_source("crates/stream/src/server.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn bare_rename_flagged_outside_atomic_write() {
+        let bad = "let x = 1;\nstd::fs::rename(&tmp, &path)?;\n";
+        let hits = check_source("crates/stream/src/snapshot.rs", bad);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, "bare-rename");
+        assert_eq!(hits[0].line, 2);
+        let short = "use std::fs;\nfs::rename(a, b).unwrap();\n";
+        assert_eq!(check_source("tests/cli.rs", short).len(), 1);
+        assert!(check_source("crates/core/src/fs.rs", bad).is_empty());
+        // Docs and strings naming the call are not calls.
+        let ok = "// fs::rename here would skip the fsync\nlet s = \"fs::rename\";\n";
+        assert!(check_source("crates/stream/src/snapshot.rs", ok).is_empty());
     }
 
     #[test]

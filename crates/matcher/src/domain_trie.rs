@@ -19,6 +19,25 @@ struct Node {
     terminal: Option<u32>,
 }
 
+impl Node {
+    /// The child under `label`, compared without ASCII case. Already-lower
+    /// labels (the common case) probe without allocating.
+    fn child(&self, label: &str) -> Option<&Node> {
+        if label.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.children.get(label.to_ascii_lowercase().as_str())
+        } else {
+            self.children.get(label)
+        }
+    }
+}
+
+/// An entry as the trie stores it: leading dots and one trailing dot
+/// dropped (`".il"`, `"il"` and `"il."` are one entry).
+fn normalize_entry(entry: &str) -> &str {
+    let entry = entry.trim_start_matches('.');
+    entry.strip_suffix('.').unwrap_or(entry)
+}
+
 /// A set of domain suffixes with right-to-left label matching.
 #[derive(Debug, Default)]
 pub struct DomainTrie {
@@ -32,8 +51,9 @@ impl DomainTrie {
         Self::default()
     }
 
-    /// Build from an iterator of entries. Leading dots are ignored
-    /// (`".il"` and `"il"` are the same entry); entries are lowercased.
+    /// Build from an iterator of entries. Leading dots and one trailing dot
+    /// are ignored (`".il"`, `"il"` and `"il."` are the same entry);
+    /// entries are lowercased.
     pub fn from_entries<'a>(entries: impl IntoIterator<Item = &'a str>) -> Self {
         let mut t = Self::new();
         for e in entries {
@@ -55,9 +75,8 @@ impl DomainTrie {
     /// Insert a suffix entry; returns the entry index it was assigned, or the
     /// existing index if the exact entry was already present.
     pub fn insert(&mut self, entry: &str) -> u32 {
-        let entry = entry.trim_start_matches('.');
         let mut node = &mut self.root;
-        for label in entry.rsplit('.') {
+        for label in normalize_entry(entry).rsplit('.') {
             let label = label.to_ascii_lowercase();
             node = node.children.entry(label.into_boxed_str()).or_default();
         }
@@ -84,22 +103,9 @@ impl DomainTrie {
         }
         let mut node = &self.root;
         for label in host.rsplit('.') {
-            // Allocation-free lowercase probe: fast path for already-lower
-            // labels, fallback buffer otherwise.
-            let child = if label.bytes().any(|b| b.is_ascii_uppercase()) {
-                let lower = label.to_ascii_lowercase();
-                node.children.get(lower.as_str())
-            } else {
-                node.children.get(label)
-            };
-            match child {
-                Some(n) => {
-                    if let Some(ix) = n.terminal {
-                        return Some(ix);
-                    }
-                    node = n;
-                }
-                None => return None,
+            node = node.child(label)?;
+            if let Some(ix) = node.terminal {
+                return Some(ix);
             }
         }
         None
@@ -119,17 +125,9 @@ impl DomainTrie {
         let mut node = &self.root;
         let mut best = None;
         for label in host.rsplit('.') {
-            let child = if label.bytes().any(|b| b.is_ascii_uppercase()) {
-                let lower = label.to_ascii_lowercase();
-                node.children.get(lower.as_str())
-            } else {
-                node.children.get(label)
-            };
-            match child {
+            match node.child(label) {
                 Some(n) => {
-                    if let Some(ix) = n.terminal {
-                        best = Some(ix);
-                    }
+                    best = n.terminal.or(best);
                     node = n;
                 }
                 None => break,
@@ -153,15 +151,14 @@ impl DomainTrie {
     /// never reported as shadowing itself, and exact duplicates collapse at
     /// insert time, so the returned entry is always a proper suffix.
     pub fn shadowing_entry(&self, entry: &str) -> Option<u32> {
-        let entry = entry.trim_start_matches('.');
+        let entry = normalize_entry(entry);
         if entry.is_empty() {
             return None;
         }
         let mut node = &self.root;
         let mut labels = entry.rsplit('.').peekable();
         while let Some(label) = labels.next() {
-            let lower = label.to_ascii_lowercase();
-            node = node.children.get(lower.as_str())?;
+            node = node.child(label)?;
             // A terminal strictly above the entry's own node shadows it.
             if labels.peek().is_some() {
                 if let Some(ix) = node.terminal {
@@ -246,12 +243,28 @@ mod tests {
     }
 
     #[test]
+    fn trailing_dot_entry_is_the_bare_entry() {
+        let mut t = DomainTrie::new();
+        let a = t.insert("evil.example.");
+        assert_eq!(t.insert("evil.example"), a);
+        assert_eq!(t.len(), 1);
+        for host in ["evil.example", "www.evil.example", "evil.example."] {
+            assert_eq!(t.lookup(host), Some(a), "host {host:?}");
+        }
+        assert!(!t.matches("example"));
+        assert_eq!(t.shadowing_entry("www.evil.example."), Some(a));
+        assert_eq!(t.shadowing_entry("evil.example."), None);
+    }
+
+    #[test]
     fn duplicate_insert_reuses_index() {
         let mut t = DomainTrie::new();
         let a = t.insert("badoo.com");
         let b = t.insert(".badoo.com");
         assert_eq!(a, b);
+        assert_eq!(t.insert("badoo.com"), a);
         assert_eq!(t.len(), 1);
+        assert!(t.matches("m.badoo.com"));
     }
 
     #[test]
@@ -261,6 +274,38 @@ mod tests {
         assert!(!t.matches("anything.com"));
         let t = DomainTrie::from_entries(["x.com"]);
         assert!(!t.matches(""));
+        assert!(!t.matches("."));
+        assert_eq!(t.lookup_longest("."), None);
+    }
+
+    #[test]
+    fn fixed_hosts_against_the_entry_list() {
+        let entries = ["facebook.com", ".il", "Skype.COM", "co.il", "jumblo.com"];
+        let t = DomainTrie::from_entries(entries);
+        let (il, skype, coil) = (Some(1), Some(2), Some(3));
+        for (host, shortest, longest) in [
+            ("facebook.com", Some(0), Some(0)),
+            ("www.facebook.com", Some(0), Some(0)),
+            ("ar-ar.facebook.com", Some(0), Some(0)),
+            ("notfacebook.com", None, None),
+            ("facebook.com.evil.net", None, None),
+            ("com", None, None),
+            ("il", il, il),
+            ("IL", il, il),
+            ("panet.co.il", il, coil),
+            ("x.co.il", il, coil),
+            ("download.skype.com", skype, skype),
+            ("SKYPE.com.", skype, skype),
+            ("skype.com.fake.org", None, None),
+            ("jumblo.com", Some(4), Some(4)),
+            ("example.org", None, None),
+            ("", None, None),
+            (".", None, None),
+            ("a..com", None, None),
+        ] {
+            assert_eq!(t.lookup(host), shortest, "host {host:?}");
+            assert_eq!(t.lookup_longest(host), longest, "host {host:?}");
+        }
     }
 
     #[test]

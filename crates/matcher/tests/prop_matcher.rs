@@ -1,42 +1,71 @@
-//! Property tests: the optimized engines agree with the naive references on
+//! Property tests: the matchers agree with the naive references on
 //! arbitrary inputs.
 
 use filterscope_core::Ipv4Cidr;
-use filterscope_match::{naive, AcDfa, AhoCorasick, CidrSet, DomainIndex, DomainTrie};
+use filterscope_match::{naive, AcDfa, CidrSet, DomainTrie};
 use proptest::prelude::*;
 
+/// The sorted distinct patterns a quadratic scan finds, with patterns and
+/// haystack case folded the way the DFA folds them.
+fn naive_keyword_set(patterns: &[String], hay: &str) -> Vec<usize> {
+    let lower: Vec<String> = patterns.iter().map(|p| p.to_ascii_lowercase()).collect();
+    let mut pats: Vec<usize> = naive::find_all(&lower, hay.to_ascii_lowercase().as_bytes())
+        .into_iter()
+        .map(|(p, _)| p)
+        .collect();
+    pats.sort_unstable();
+    pats.dedup();
+    pats
+}
+
+/// A domain entry or host as the trie compares it: leading dots and one
+/// trailing dot dropped, lowercased.
+fn norm(s: &str) -> String {
+    let s = s.trim_start_matches('.');
+    s.strip_suffix('.').unwrap_or(s).to_ascii_lowercase()
+}
+
+/// The trie's entry table: distinct normalized entries in first-insert order.
+fn naive_entries(entries: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for e in entries {
+        let n = norm(e);
+        if !out.contains(&n) {
+            out.push(n);
+        }
+    }
+    out
+}
+
+/// Does entry `e` cover `host` (equal, or a dot-separated suffix)?
+fn covers(e: &str, host: &str) -> bool {
+    host == e || host.ends_with(&format!(".{e}"))
+}
+
+/// The index of the shortest (`longest == false`) or longest covering
+/// entry, by scanning every entry.
+fn naive_lookup(table: &[String], host: &str, longest: bool) -> Option<u32> {
+    let host = host.strip_suffix('.').unwrap_or(host).to_ascii_lowercase();
+    let hits = (0..table.len()).filter(|&i| covers(&table[i], &host));
+    let pick = if longest {
+        hits.max_by_key(|&i| table[i].len())
+    } else {
+        hits.min_by_key(|&i| table[i].len())
+    };
+    pick.map(|i| i as u32)
+}
+
+/// The index of the shortest entry strictly shorter than `entry` that
+/// covers it.
+fn naive_shadowing(table: &[String], entry: &str) -> Option<u32> {
+    let entry = norm(entry);
+    (0..table.len())
+        .filter(|&i| table[i].len() < entry.len() && covers(&table[i], &entry))
+        .min_by_key(|&i| table[i].len())
+        .map(|i| i as u32)
+}
+
 proptest! {
-    /// Aho–Corasick reports exactly the matches a quadratic scan finds.
-    #[test]
-    fn aho_corasick_equals_naive(
-        patterns in proptest::collection::vec("[a-c]{1,4}", 0..6),
-        haystack in "[a-c]{0,40}",
-    ) {
-        let ac = AhoCorasick::new(&patterns);
-        let mut got: Vec<(usize, usize)> = ac
-            .find_all(haystack.as_bytes())
-            .into_iter()
-            .map(|m| (m.pattern, m.start))
-            .collect();
-        got.sort_unstable();
-        let mut want = naive::find_all(&patterns, haystack.as_bytes());
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// `is_match` agrees with the full scan.
-    #[test]
-    fn aho_corasick_is_match_consistent(
-        patterns in proptest::collection::vec("[a-b]{1,3}", 1..5),
-        haystack in "[a-b]{0,30}",
-    ) {
-        let ac = AhoCorasick::new(&patterns);
-        prop_assert_eq!(
-            ac.is_match(haystack.as_bytes()),
-            naive::is_match(&patterns, haystack.as_bytes())
-        );
-    }
-
     /// CidrSet containment equals a linear scan over the source blocks.
     #[test]
     fn cidr_set_equals_linear(
@@ -68,79 +97,78 @@ proptest! {
         );
     }
 
-    /// The dense DFA the policy engine scans with agrees with the sparse
-    /// automaton it was tabulated from.
+    /// The trie's three queries name the same entry as a scan over the
+    /// entry list, on mixed-case entries and hosts with leading and
+    /// trailing dots. Labels come from a small alphabet so entries nest
+    /// (`a`, `b.a`, `a.b.a`), and every entry is also probed under an
+    /// extra label, so hosts covered by several entries are common.
     #[test]
-    fn ac_dfa_equals_automaton(
-        patterns in proptest::collection::vec("[a-dA-D]{1,4}", 0..6),
-        haystacks in proptest::collection::vec("[a-eA-E]{0,30}", 0..10),
-        ci in any::<bool>(),
+    fn domain_trie_queries_equal_suffix_scan(
+        entries in proptest::collection::vec(
+            "(\\.){0,1}[abA]{1,2}(\\.[abA]{1,2}){0,2}(\\.){0,1}", 0..8),
+        hosts in proptest::collection::vec(
+            "[a-cA-C]{1,2}(\\.[a-cA-C]{1,2}){0,3}(\\.){0,1}", 0..10),
     ) {
-        let ac = filterscope_match::aho_corasick::AhoCorasickBuilder::new()
-            .ascii_case_insensitive(ci)
-            .build(&patterns);
-        let dfa = AcDfa::from_automaton(&ac);
-        for hay in &haystacks {
-            prop_assert_eq!(dfa.is_match(hay), ac.is_match(hay.as_bytes()), "haystack {:?}", hay);
+        let trie = DomainTrie::from_entries(entries.iter().map(|s| s.as_str()));
+        let table = naive_entries(&entries);
+        prop_assert_eq!(trie.len(), table.len());
+        let under: Vec<String> = entries
+            .iter()
+            .map(|e| format!("x.{}", e.trim_start_matches('.')))
+            .collect();
+        for host in hosts.iter().chain(&under) {
+            prop_assert_eq!(trie.lookup(host), naive_lookup(&table, host, false), "host {:?}", host);
+            prop_assert_eq!(
+                trie.lookup_longest(host),
+                naive_lookup(&table, host, true),
+                "host {:?}", host
+            );
+        }
+        for probe in entries.iter().chain(&hosts) {
+            prop_assert_eq!(
+                trie.shadowing_entry(probe),
+                naive_shadowing(&table, probe),
+                "entry {:?}", probe
+            );
         }
     }
 
-    /// The DFA's keyword set equals the automaton's: small alphabets force
+    /// `AcDfa::is_match` equals a quadratic scan on case-folded input.
+    #[test]
+    fn ac_dfa_is_match_equals_naive(
+        patterns in proptest::collection::vec("[a-dA-D]{1,4}", 0..6),
+        haystacks in proptest::collection::vec("[a-eA-E]{0,30}", 0..10),
+    ) {
+        let dfa = AcDfa::build(&patterns);
+        for hay in &haystacks {
+            prop_assert_eq!(
+                dfa.is_match(hay),
+                !naive_keyword_set(&patterns, hay).is_empty(),
+                "haystack {:?}", hay
+            );
+        }
+    }
+
+    /// The DFA's keyword set equals the naive one: small alphabets force
     /// overlapping and nested patterns, `{0,4}` admits empty ones, and the
     /// large arm runs past 64 patterns.
     #[test]
-    fn ac_dfa_matching_patterns_equals_automaton(
+    fn ac_dfa_matching_patterns_equals_naive(
         few in proptest::collection::vec("[a-cA-C]{0,4}", 0..8),
         many in proptest::collection::vec("[a-dA-D]{0,5}", 65..100),
         haystacks in proptest::collection::vec("[a-eA-E]{0,40}", 1..8),
-        ci in any::<bool>(),
     ) {
         let mut scratch = vec![usize::MAX];
         for patterns in [&few, &many] {
-            let ac = filterscope_match::aho_corasick::AhoCorasickBuilder::new()
-                .ascii_case_insensitive(ci)
-                .build(patterns);
-            let dfa = AcDfa::from_automaton(&ac);
+            let dfa = AcDfa::build(patterns);
             for hay in &haystacks {
                 dfa.matching_patterns_into(hay.as_bytes(), &mut scratch);
                 prop_assert_eq!(
                     &scratch,
-                    &ac.matching_patterns(hay.as_bytes()),
+                    &naive_keyword_set(patterns, hay),
                     "haystack {:?} patterns {:?}", hay, patterns
                 );
             }
-        }
-    }
-
-    /// The flat domain index agrees with the pointer-chasing trie on
-    /// arbitrary entries and hosts.
-    #[test]
-    fn domain_index_equals_trie(
-        entries in proptest::collection::vec(
-            "(\\.){0,1}[a-cA-C]{1,3}(\\.[a-cA-C]{1,3}){0,2}", 0..8),
-        hosts in proptest::collection::vec(
-            "[a-dA-D]{1,3}(\\.[a-dA-D]{1,3}){0,3}(\\.){0,1}", 0..10),
-    ) {
-        let entry_refs: Vec<&str> = entries.iter().map(|s| s.as_str()).collect();
-        let trie = DomainTrie::from_entries(entry_refs.iter().copied());
-        let index = DomainIndex::from_entries(entry_refs.iter().copied());
-        for host in &hosts {
-            prop_assert_eq!(index.lookup(host), trie.lookup(host), "host {:?}", host);
-        }
-    }
-
-    /// Every match reported by find_all is an actual occurrence.
-    #[test]
-    fn matches_are_real_occurrences(
-        patterns in proptest::collection::vec("[a-d]{1,5}", 1..6),
-        haystack in "[a-d]{0,60}",
-    ) {
-        let ac = AhoCorasick::new(&patterns);
-        for m in ac.find_all(haystack.as_bytes()) {
-            prop_assert_eq!(
-                &haystack.as_bytes()[m.start..m.end],
-                patterns[m.pattern].as_bytes()
-            );
         }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! * [`lint_policy`] — reachability/shadowing and redundancy/conflict
 //!   findings over one [`PolicyData`]: keyword substring subsumption (via
-//!   the Aho–Corasick pattern set), domain-suffix subsumption (via the
+//!   the engine's keyword DFA), domain-suffix subsumption (via the
 //!   trie), CIDR containment (via the subnet set), dead custom-category
 //!   rules, and cross-tier masking notes;
 //! * [`lint_farm`] — consistency checks over the per-proxy configs;

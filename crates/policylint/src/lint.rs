@@ -7,11 +7,10 @@ use filterscope_proxy::config::FarmConfig;
 use filterscope_proxy::{PolicyData, RuleFamily};
 
 use filterscope_core::ProxyId;
-use filterscope_match::aho_corasick::AhoCorasickBuilder;
-use filterscope_match::DomainTrie;
+use filterscope_match::{AcDfa, DomainTrie};
 use std::collections::HashMap;
 
-/// Normalize a keyword the way the (case-insensitive) automaton sees it.
+/// Normalize a keyword the way the (case-folding) keyword DFA sees it.
 fn norm_keyword(k: &str) -> String {
     k.to_ascii_lowercase()
 }
@@ -206,20 +205,26 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
     }
 
     // --- within-tier shadowing --------------------------------------------
-    // Keywords: substring subsumption via the automaton itself. The tier is
-    // first-match-wins over one haystack, so a keyword containing another
-    // can never be the deciding rule.
+    // Keywords: substring subsumption via the keyword DFA, scanning
+    // each keyword for the others. The tier is first-match-wins over one
+    // haystack, so a keyword containing another can never be the deciding
+    // rule. The witness is the smallest index whose text differs (identical
+    // spellings are the duplicate-rule finding's business).
     let live_keywords: Vec<&str> = policy
         .keywords
         .iter()
         .map(|k| k.as_str())
         .filter(|k| !k.is_empty())
         .collect();
-    let ac = AhoCorasickBuilder::new()
-        .ascii_case_insensitive(true)
-        .build(&live_keywords);
+    let dfa = AcDfa::build(&live_keywords);
+    let mut within = Vec::new();
     for (j, k) in live_keywords.iter().enumerate() {
-        if let Some(i) = ac.subsuming_pattern(j) {
+        dfa.matching_patterns_into(k.as_bytes(), &mut within);
+        let subsumer = within
+            .iter()
+            .copied()
+            .find(|&i| i != j && !live_keywords[i].eq_ignore_ascii_case(k));
+        if let Some(i) = subsumer {
             out.push(finding(
                 Severity::Warning,
                 "keyword-subsumed",
@@ -297,7 +302,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
         if n.is_empty() {
             continue;
         }
-        if let Some(m) = ac.find(n.as_bytes()) {
+        if let Some(i) = dfa.first_match(&n) {
             out.push(finding(
                 Severity::Warning,
                 "domain-dead",
@@ -305,7 +310,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
                 format!("domain {d:?}"),
                 format!(
                     "every covered host contains keyword {:?}, which denies first",
-                    live_keywords[m.pattern]
+                    live_keywords[i]
                 ),
             ));
         }
@@ -317,7 +322,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
         if h.is_empty() {
             continue;
         }
-        if ac.is_match(h.as_bytes()) {
+        if dfa.is_match(h.as_bytes()) {
             out.push(finding(
                 Severity::Info,
                 "redirect-masks-keyword",
@@ -343,7 +348,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
             continue;
         }
         let rule = format!("page ({host:?}, {path:?})");
-        if ac.is_match(format!("{host}{path}").as_bytes()) {
+        if dfa.is_match(format!("{host}{path}").as_bytes()) {
             out.push(finding(
                 Severity::Info,
                 "page-masks-keyword",

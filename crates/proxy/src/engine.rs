@@ -6,7 +6,7 @@ use crate::hashing::{decision_hash, per_mille};
 use crate::policy_data::PolicyData;
 use crate::request::Request;
 use filterscope_core::Timestamp;
-use filterscope_match::{AcDfa, CidrSet, DomainIndex};
+use filterscope_match::{AcDfa, CidrSet, DomainTrie};
 use filterscope_tor::signaling;
 use filterscope_tor::RelayIndex;
 use std::collections::HashSet;
@@ -16,12 +16,12 @@ use std::sync::Arc;
 /// run near-identical rule sets; per-proxy differences live in
 /// [`ProxyConfig`]).
 ///
-/// The two hot structures are the *compiled* forms — a dense keyword DFA
-/// and a flat domain index — decision-identical to the build-time
-/// automaton/trie (property-tested in `filterscope-match`).
+/// Each matched rule class has one matcher from `filterscope-match`: a
+/// dense keyword DFA (case-folding), a reversed-label domain trie and a
+/// merged CIDR set.
 pub struct PolicyEngine {
     keywords: AcDfa,
-    domains: DomainIndex,
+    domains: DomainTrie,
     subnets: CidrSet,
     redirect_hosts: HashSet<String>,
     /// `(host, "/<page>")` pairs under the custom category.
@@ -43,8 +43,8 @@ impl PolicyEngine {
     /// inference, parsed from CPL, or an ablated variant).
     pub fn from_data(data: &PolicyData, relays: Option<Arc<RelayIndex>>, seed: u64) -> Self {
         PolicyEngine {
-            keywords: AcDfa::build(&data.keywords, true),
-            domains: DomainIndex::from_entries(data.blocked_domains.iter().map(|s| s.as_str())),
+            keywords: AcDfa::build(&data.keywords),
+            domains: DomainTrie::from_entries(data.blocked_domains.iter().map(|s| s.as_str())),
             subnets: CidrSet::from_blocks(data.blocked_subnets.iter().copied()),
             redirect_hosts: data.redirect_hosts.iter().cloned().collect(),
             custom_pages: data.custom_pages.iter().cloned().collect(),
@@ -202,15 +202,7 @@ impl PolicyEngine {
     /// classified outcome a [`crate::profile::CensorProfile`] turns into a
     /// log record. The policy (what is censored) is decided here, once;
     /// the mechanism (how denial looks on the wire) lives in the profile.
-    pub fn verdict(&self, cfg: &ProxyConfig, req: &Request) -> Verdict {
-        let decision = self.decide(cfg, req);
-        Verdict {
-            decision,
-            categories: self.category_label(cfg, decision),
-        }
-    }
-
-    /// [`PolicyEngine::verdict`] with a caller-owned scratch buffer (see
+    /// `filter_buf` is the keyword scan's scratch (see
     /// [`PolicyEngine::decide_with_buf`]).
     pub fn verdict_with_buf(
         &self,
@@ -292,6 +284,30 @@ mod tests {
         }
         let r = get(RequestUrl::http("google.com", "/"));
         assert_eq!(e.decide(&c, &r), Decision::Allow);
+    }
+
+    #[test]
+    fn trailing_dot_domain_rule_fires_like_the_bare_rule() {
+        let data = PolicyData {
+            keywords: Vec::new(),
+            blocked_domains: vec!["evil.example.".to_string()],
+            blocked_subnets: Vec::new(),
+            redirect_hosts: Vec::new(),
+            custom_pages: Vec::new(),
+            custom_queries: Vec::new(),
+        };
+        let e = PolicyEngine::from_data(&data, None, 42);
+        for host in ["evil.example", "www.evil.example", "evil.example."] {
+            assert_eq!(
+                e.decide_url(&RequestUrl::http(host, "/")),
+                Decision::Deny(Trigger::Domain),
+                "{host}"
+            );
+        }
+        assert_eq!(
+            e.decide_url(&RequestUrl::http("example", "/")),
+            Decision::Allow
+        );
     }
 
     #[test]
@@ -384,13 +400,14 @@ mod tests {
     fn verdict_bundles_decision_and_label() {
         let e = engine();
         let c = cfg(ProxyId::Sg48);
+        let mut buf = String::new();
         let r =
             get(RequestUrl::http("www.facebook.com", "/Syrian.Revolution").with_query("ref=ts"));
-        let v = e.verdict(&c, &r);
+        let v = e.verdict_with_buf(&c, &r, &mut buf);
         assert_eq!(v.decision, e.decide(&c, &r));
         assert_eq!(v.categories, e.category_label(&c, v.decision));
         assert_eq!(v.categories, "Blocked sites");
-        let allowed = e.verdict(&c, &get(RequestUrl::http("ok.example", "/")));
+        let allowed = e.verdict_with_buf(&c, &get(RequestUrl::http("ok.example", "/")), &mut buf);
         assert_eq!(allowed.decision, Decision::Allow);
         assert_eq!(allowed.categories, "none");
     }
