@@ -4,7 +4,6 @@
 //! and identifies anonymizer hosts through the category oracle.
 
 use crate::context::AnalysisContext;
-use crate::datasets::in_sample;
 use crate::report::Table;
 use filterscope_core::{Interner, Sym};
 use filterscope_logformat::{RecordView, RequestClass};
@@ -19,7 +18,7 @@ pub struct HostCounts {
 }
 
 /// Fig. 10 accumulator. Host keys are interned ([`Sym`]);
-/// [`AnonymizerStats::merge`] remaps the absorbed shard's symbols.
+/// its `merge` remaps the absorbed shard's symbols.
 #[derive(Debug, Default)]
 pub struct AnonymizerStats {
     interner: Interner,
@@ -30,16 +29,6 @@ impl AnonymizerStats {
     /// Empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Ingest one record.
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.add(
-            ctx,
-            record,
-            RequestClass::of_view(record),
-            in_sample(record),
-        );
     }
 
     fn add(
@@ -61,16 +50,6 @@ impl AnonymizerStats {
             RequestClass::Allowed => c.allowed += 1,
             RequestClass::Censored => c.censored += 1,
             _ => {}
-        }
-    }
-
-    /// Merge a shard, remapping its symbols into this table.
-    pub fn merge(&mut self, other: AnonymizerStats) {
-        let remap = self.interner.absorb_remap(&other.interner);
-        for (k, v) in other.hosts {
-            let c = self.hosts.entry(remap[k.index()]).or_default();
-            c.allowed += v.allowed;
-            c.censored += v.censored;
         }
     }
 
@@ -162,14 +141,6 @@ impl AnonymizerStats {
 }
 
 impl crate::registry::Analysis for AnonymizerStats {
-    fn key(&self) -> &'static str {
-        "anonymizers"
-    }
-
-    fn title(&self) -> &'static str {
-        "Anonymizer services"
-    }
-
     fn ingest_block(
         &mut self,
         ctx: &crate::AnalysisContext,
@@ -182,7 +153,17 @@ impl crate::registry::Analysis for AnonymizerStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        AnonymizerStats::merge(self, crate::registry::downcast(other));
+        let other: AnonymizerStats = crate::registry::downcast(other);
+        let remap = self.interner.absorb_remap(&other.interner);
+        for (k, v) in other.hosts {
+            let c = self.hosts.entry(remap[k.index()]).or_default();
+            c.allowed += v.allowed;
+            c.censored += v.censored;
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.host_count() as u64
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -234,6 +215,7 @@ impl crate::registry::Analysis for AnonymizerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed_with;
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -259,9 +241,10 @@ mod tests {
         censored: bool,
     ) {
         // Vary paths so ~4% land in the sample; ingest enough to register.
-        for i in 0..n {
-            s.ingest(ctx, &rec(host, &format!("/p{i}"), censored).as_view());
-        }
+        let records: Vec<_> = (0..n)
+            .map(|i| rec(host, &format!("/p{i}"), censored))
+            .collect();
+        feed_with(ctx, s, &records);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl CategoryStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.add(ctx, record, RequestClass::of_view(record));
-    }
-
     /// Sample membership is derived here, for censored records only, rather
     /// than read from a column computed for every record.
     fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
@@ -38,11 +33,6 @@ impl CategoryStats {
         }
         self.censored
             .bump(ctx.categories.categorize(record.url.host));
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: CategoryStats) {
-        self.censored.merge(other.censored);
     }
 
     /// Category shares, descending, with small categories folded into
@@ -79,14 +69,6 @@ impl CategoryStats {
 }
 
 impl crate::registry::Analysis for CategoryStats {
-    fn key(&self) -> &'static str {
-        "categories"
-    }
-
-    fn title(&self) -> &'static str {
-        "Censored categories"
-    }
-
     fn ingest_block(
         &mut self,
         ctx: &crate::AnalysisContext,
@@ -99,7 +81,12 @@ impl crate::registry::Analysis for CategoryStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        CategoryStats::merge(self, crate::registry::downcast(other));
+        let other: CategoryStats = crate::registry::downcast(other);
+        self.censored.merge(other.censored);
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored.total()
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -146,6 +133,7 @@ impl crate::registry::Analysis for CategoryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed_with;
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -175,7 +163,7 @@ mod tests {
             if in_sample(&r.as_view()) {
                 ingested += 1;
             }
-            c.ingest(&ctx, &r.as_view());
+            feed_with(&ctx, &mut c, &[r]);
         }
         assert_eq!(c.censored.total(), ingested);
         assert!(ingested > 100, "sample too small: {ingested}");
@@ -192,9 +180,7 @@ mod tests {
             RequestUrl::http("metacafe.com", "/"),
         )
         .build();
-        for _ in 0..100 {
-            c.ingest(&ctx, &r.as_view());
-        }
+        feed_with(&ctx, &mut c, &vec![r; 100]);
         assert_eq!(c.censored.total(), 0);
     }
 
@@ -203,10 +189,10 @@ mod tests {
         let ctx = ctx();
         let mut c = CategoryStats::new();
         for i in 0..3000 {
-            c.ingest(&ctx, &censored("skype.com", i).as_view());
+            feed_with(&ctx, &mut c, &[censored("skype.com", i)]);
         }
         for i in 0..2000 {
-            c.ingest(&ctx, &censored("badoo.com", i).as_view());
+            feed_with(&ctx, &mut c, &[censored("badoo.com", i)]);
         }
         // Folding everything: all but Unknown collapses into Other.
         let dist = c.distribution(1_000_000);

@@ -195,19 +195,21 @@ mod tests {
     fn suite_with_censor_rate(per_mille: u32, n: u32) -> AnalysisSuite {
         let ctx = AnalysisContext::standard(None);
         let mut suite = AnalysisSuite::new(1);
-        for i in 0..n {
-            let b = RecordBuilder::new(
-                Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
-                ProxyId::Sg42,
-                RequestUrl::http(format!("h{}.example", i % 50), "/"),
-            );
-            let r = if (i * 997) % 1000 < per_mille {
-                b.policy_denied().build()
-            } else {
-                b.build()
-            };
-            suite.ingest(&ctx, &r.as_view());
-        }
+        let records: Vec<_> = (0..n)
+            .map(|i| {
+                let b = RecordBuilder::new(
+                    Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
+                    ProxyId::Sg42,
+                    RequestUrl::http(format!("h{}.example", i % 50), "/"),
+                );
+                if (i * 997) % 1000 < per_mille {
+                    b.policy_denied().build()
+                } else {
+                    b.build()
+                }
+            })
+            .collect();
+        suite.ingest_records(&ctx, &records);
         suite
     }
 
@@ -244,30 +246,17 @@ mod tests {
         let ctx = AnalysisContext::standard(None);
         let mut a = AnalysisSuite::new(3);
         let mut b = AnalysisSuite::new(3);
-        for _ in 0..10 {
-            a.ingest(
-                &ctx,
-                &RecordBuilder::new(
-                    Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
-                    ProxyId::Sg42,
-                    RequestUrl::http("badoo.com", "/"),
-                )
-                .policy_denied()
-                .build()
-                .as_view(),
-            );
-            b.ingest(
-                &ctx,
-                &RecordBuilder::new(
-                    Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
-                    ProxyId::Sg42,
-                    RequestUrl::http("netlog.com", "/"),
-                )
-                .policy_denied()
-                .build()
-                .as_view(),
-            );
-        }
+        let censored = |host: &str| {
+            RecordBuilder::new(
+                Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
+                ProxyId::Sg42,
+                RequestUrl::http(host, "/"),
+            )
+            .policy_denied()
+            .build()
+        };
+        a.ingest_records(&ctx, vec![censored("badoo.com"); 10]);
+        b.ingest_records(&ctx, vec![censored("netlog.com"); 10]);
         let cmp = compare(&a, &b);
         assert_eq!(cmp.domains_only_a, vec!["badoo.com".to_string()]);
         assert_eq!(cmp.domains_only_b, vec!["netlog.com".to_string()]);

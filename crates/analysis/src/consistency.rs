@@ -119,20 +119,6 @@ impl ConsistencyStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.total += 1;
-        for a in lint(record) {
-            self.anomalies.bump(a);
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: ConsistencyStats) {
-        self.total += other.total;
-        self.anomalies.merge(other.anomalies);
-    }
-
     /// Records exhibiting a given anomaly.
     pub fn count(&self, a: Anomaly) -> u64 {
         self.anomalies.get(&a)
@@ -155,27 +141,28 @@ impl ConsistencyStats {
 }
 
 impl crate::registry::Analysis for ConsistencyStats {
-    fn key(&self) -> &'static str {
-        "consistency"
-    }
-
-    fn title(&self) -> &'static str {
-        "Log-consistency linter"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
         block: &[RecordView<'_>],
         _derived: &crate::Derived<'_>,
     ) {
+        self.total += block.len() as u64;
         for record in block {
-            ConsistencyStats::ingest(self, record);
+            for a in lint(record) {
+                self.anomalies.bump(a);
+            }
         }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        ConsistencyStats::merge(self, crate::registry::downcast(other));
+        let other: ConsistencyStats = crate::registry::downcast(other);
+        self.total += other.total;
+        self.anomalies.merge(other.anomalies);
+    }
+
+    fn headline(&self) -> u64 {
+        self.total
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -226,6 +213,7 @@ impl crate::registry::Analysis for ConsistencyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::RequestUrl;
@@ -300,20 +288,25 @@ mod tests {
     #[test]
     fn accumulator_counts_and_renders() {
         let mut s = ConsistencyStats::new();
-        s.ingest(&base().build().as_view());
-        s.ingest(
-            &base()
-                .proxied()
-                .exception(ExceptionId::PolicyDenied)
-                .build()
-                .as_view(),
+        feed(
+            &mut s,
+            &[
+                base().build(),
+                base()
+                    .proxied()
+                    .exception(ExceptionId::PolicyDenied)
+                    .build(),
+            ],
         );
         assert_eq!(s.total, 2);
         assert_eq!(s.count(Anomaly::ProxiedWithPolicyException), 1);
         assert!(s.render().contains("PROXIED with policy exception"));
         let mut other = ConsistencyStats::new();
-        other.ingest(&base().exception(ExceptionId::TcpError).build().as_view());
-        s.merge(other);
+        feed(
+            &mut other,
+            &[base().exception(ExceptionId::TcpError).build()],
+        );
+        s.merge(Box::new(other));
         assert_eq!(s.total, 3);
         assert_eq!(s.count(Anomaly::ObservedWithException), 1);
     }

@@ -108,11 +108,6 @@ impl DatasetCounts {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, in_sample(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, sample: bool) {
         self.full += 1;
         if sample {
@@ -129,15 +124,6 @@ impl DatasetCounts {
         }
     }
 
-    /// Merge a shard.
-    pub fn merge(&mut self, other: DatasetCounts) {
-        self.full += other.full;
-        self.sample += other.sample;
-        self.user += other.user;
-        self.denied += other.denied;
-        self.ipv4 += other.ipv4;
-    }
-
     /// Render Table 1.
     pub fn render(&self) -> String {
         let mut t = Table::new("Table 1: Datasets description", &["Dataset", "# Requests"]);
@@ -151,14 +137,6 @@ impl DatasetCounts {
 }
 
 impl crate::registry::Analysis for DatasetCounts {
-    fn key(&self) -> &'static str {
-        "datasets"
-    }
-
-    fn title(&self) -> &'static str {
-        "Dataset membership"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -171,7 +149,16 @@ impl crate::registry::Analysis for DatasetCounts {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        DatasetCounts::merge(self, crate::registry::downcast(other));
+        let other: DatasetCounts = crate::registry::downcast(other);
+        self.full += other.full;
+        self.sample += other.sample;
+        self.user += other.user;
+        self.denied += other.denied;
+        self.ipv4 += other.ipv4;
+    }
+
+    fn headline(&self) -> u64 {
+        self.denied
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -202,6 +189,7 @@ impl crate::registry::Analysis for DatasetCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{ExceptionId, LogRecord, RequestUrl};
@@ -287,11 +275,13 @@ mod tests {
     #[test]
     fn counts_and_merge() {
         let mut a = DatasetCounts::new();
-        a.ingest(&rec("x.com", true, false).as_view());
-        a.ingest(&rec("9.9.9.9", false, true).as_view());
+        feed(
+            &mut a,
+            &[rec("x.com", true, false), rec("9.9.9.9", false, true)],
+        );
         let mut b = DatasetCounts::new();
-        b.ingest(&rec("y.com", false, false).as_view());
-        a.merge(b);
+        feed(&mut b, &[rec("y.com", false, false)]);
+        a.merge(Box::new(b));
         assert_eq!(a.full, 3);
         assert_eq!(a.user, 1);
         assert_eq!(a.denied, 1);

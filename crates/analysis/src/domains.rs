@@ -3,7 +3,6 @@
 
 use crate::report::{count_pct, Table};
 use filterscope_core::{Interner, Sym};
-use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{RecordView, RequestClass};
 use filterscope_stats::counter::top_n_by_count;
 use filterscope_stats::powerlaw::{fit_domain_alpha, frequency_of_frequencies};
@@ -14,7 +13,7 @@ use filterscope_stats::CountMap;
 /// Domains are interned: each per-class map counts `Sym` keys into one
 /// shared string table, so the millionth request for `facebook.com` costs a
 /// hash lookup, not a fresh `String`. Symbols are shard-local —
-/// [`DomainStats::merge`] remaps the absorbed shard's symbols through
+/// its `merge` remaps the absorbed shard's symbols through
 /// [`Interner::absorb_remap`] — and every read-out resolves symbols back to
 /// `&str` before any name comparison, keeping output independent of intern
 /// order.
@@ -33,14 +32,6 @@ impl DomainStats {
         Self::default()
     }
 
-    /// Ingest one record (aggregating by base domain).
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(
-            RequestClass::of_view(record),
-            &base_domain_of(record.url.host),
-        );
-    }
-
     fn add(&mut self, class: RequestClass, base: &str) {
         let sym = self.interner.intern(base);
         match class {
@@ -51,21 +42,6 @@ impl DomainStats {
                 self.denied.bump(sym);
             }
             RequestClass::Error => self.denied.bump(sym),
-        }
-    }
-
-    /// Merge a shard, remapping its symbols into this table.
-    pub fn merge(&mut self, other: DomainStats) {
-        let remap = self.interner.absorb_remap(&other.interner);
-        for (map, other_map) in [
-            (&mut self.allowed, other.allowed),
-            (&mut self.denied, other.denied),
-            (&mut self.censored, other.censored),
-            (&mut self.proxied, other.proxied),
-        ] {
-            for (sym, count) in other_map.iter() {
-                map.add(remap[sym.index()], count);
-            }
         }
     }
 
@@ -178,14 +154,6 @@ impl DomainStats {
 }
 
 impl crate::registry::Analysis for DomainStats {
-    fn key(&self) -> &'static str {
-        "domains"
-    }
-
-    fn title(&self) -> &'static str {
-        "Domain popularity"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -198,7 +166,22 @@ impl crate::registry::Analysis for DomainStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        DomainStats::merge(self, crate::registry::downcast(other));
+        let other: DomainStats = crate::registry::downcast(other);
+        let remap = self.interner.absorb_remap(&other.interner);
+        for (map, other_map) in [
+            (&mut self.allowed, other.allowed),
+            (&mut self.denied, other.denied),
+            (&mut self.censored, other.censored),
+            (&mut self.proxied, other.proxied),
+        ] {
+            for (sym, count) in other_map.iter() {
+                map.add(remap[sym.index()], count);
+            }
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored.total()
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -261,6 +244,7 @@ impl crate::registry::Analysis for DomainStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -281,9 +265,14 @@ mod tests {
     #[test]
     fn aggregates_by_base_domain() {
         let mut d = DomainStats::new();
-        d.ingest(&rec("www.facebook.com", true).as_view());
-        d.ingest(&rec("ar-ar.facebook.com", true).as_view());
-        d.ingest(&rec("www.google.com", false).as_view());
+        feed(
+            &mut d,
+            &[
+                rec("www.facebook.com", true),
+                rec("ar-ar.facebook.com", true),
+                rec("www.google.com", false),
+            ],
+        );
         assert_eq!(d.count(RequestClass::Censored, "facebook.com"), 2);
         assert_eq!(d.count(RequestClass::Allowed, "google.com"), 1);
         // Censored counts double into the denied map.
@@ -294,9 +283,9 @@ mod tests {
     fn top_n_ordering() {
         let mut d = DomainStats::new();
         for _ in 0..5 {
-            d.ingest(&rec("metacafe.com", true).as_view());
+            feed(&mut d, &[rec("metacafe.com", true)]);
         }
-        d.ingest(&rec("skype.com", true).as_view());
+        feed(&mut d, &[rec("skype.com", true)]);
         let top = d.top_censored(2);
         assert_eq!(top[0].0, "metacafe.com");
         assert_eq!(top[0].1, 5);
@@ -306,10 +295,9 @@ mod tests {
     fn distribution_counts_domains_not_requests() {
         let mut d = DomainStats::new();
         for _ in 0..3 {
-            d.ingest(&rec("a.com", false).as_view());
+            feed(&mut d, &[rec("a.com", false)]);
         }
-        d.ingest(&rec("b.com", false).as_view());
-        d.ingest(&rec("c.com", false).as_view());
+        feed(&mut d, &[rec("b.com", false), rec("c.com", false)]);
         let dist = d.request_distribution(RequestClass::Allowed);
         assert_eq!(dist, vec![(1, 2), (3, 1)]);
     }
@@ -317,8 +305,7 @@ mod tests {
     #[test]
     fn renders_ten_rows() {
         let mut d = DomainStats::new();
-        d.ingest(&rec("x.com", false).as_view());
-        d.ingest(&rec("y.com", true).as_view());
+        feed(&mut d, &[rec("x.com", false), rec("y.com", true)]);
         let s = d.render_table4();
         assert!(s.contains("x.com"));
         assert!(s.contains("y.com"));
@@ -328,10 +315,10 @@ mod tests {
     #[test]
     fn merge_combines_maps() {
         let mut a = DomainStats::new();
-        a.ingest(&rec("m.com", true).as_view());
+        feed(&mut a, &[rec("m.com", true)]);
         let mut b = DomainStats::new();
-        b.ingest(&rec("m.com", true).as_view());
-        a.merge(b);
+        feed(&mut b, &[rec("m.com", true)]);
+        a.merge(Box::new(b));
         assert_eq!(a.count(RequestClass::Censored, "m.com"), 2);
     }
 }

@@ -10,7 +10,6 @@
 //! analyses' members without reordering the survivors.
 
 use crate::context::AnalysisContext;
-use crate::registry;
 use crate::suite::AnalysisSuite;
 use filterscope_core::Json;
 
@@ -64,11 +63,7 @@ impl AnalysisSuite {
     pub fn summary_json(&self, ctx: &AnalysisContext) -> String {
         let mut fragments: Vec<(u32, Json)> = self
             .analyses()
-            .iter()
-            .filter_map(|analysis| {
-                let rank = registry::entry(analysis.key())?.export_rank?;
-                Some((rank, analysis.export_json(ctx)?))
-            })
+            .filter_map(|(entry, analysis)| Some((entry.export_rank?, analysis.export_json(ctx)?)))
             .collect();
         fragments.sort_by_key(|(rank, _)| *rank);
         let mut obj = Json::object();
@@ -92,19 +87,21 @@ mod tests {
     use filterscope_logformat::RequestUrl;
 
     fn populated_suite(suite: &mut AnalysisSuite, ctx: &AnalysisContext) {
-        for i in 0..100u32 {
-            let b = RecordBuilder::new(
-                Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
-                ProxyId::from_index((i % 7) as usize).unwrap(),
-                RequestUrl::http(format!("h{}.example", i % 9), "/"),
-            );
-            let r = if i % 25 == 0 {
-                b.policy_denied().build()
-            } else {
-                b.build()
-            };
-            suite.ingest(ctx, &r.as_view());
-        }
+        let records: Vec<_> = (0..100u32)
+            .map(|i| {
+                let b = RecordBuilder::new(
+                    Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
+                    ProxyId::from_index((i % 7) as usize).unwrap(),
+                    RequestUrl::http(format!("h{}.example", i % 9), "/"),
+                );
+                if i % 25 == 0 {
+                    b.policy_denied().build()
+                } else {
+                    b.build()
+                }
+            })
+            .collect();
+        suite.ingest_records(ctx, &records);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::derived::{Columns, Derived};
 use crate::report::{count_pct, Table};
 use filterscope_categorizer::Category;
 use filterscope_core::{Interner, Sym};
-use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{PolicyClass, RecordView, RequestClass};
 use filterscope_match::AcDfa;
 use filterscope_proxy::ProfileKind;
@@ -68,7 +67,7 @@ pub struct FilterInference {
     tokens: HashMap<Sym, TokenEvidence>,
     domains: HashMap<Sym, DomainEvidence>,
     /// Scratch buffer for the per-record filter view (host+path+query),
-    /// reused across [`FilterInference::ingest`] calls.
+    /// reused across records.
     view_buf: String,
     /// Scratch buffer holding the lowercased view for tokenization.
     lower_buf: String,
@@ -104,16 +103,6 @@ impl FilterInference {
 
     /// The derived columns the ingest body reads.
     pub const COLUMNS: Columns = Columns::CLASS.with(Columns::POLICY).with(Columns::BASE);
-
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(
-            record,
-            RequestClass::of_view(record),
-            PolicyClass::of_view(record),
-            &base_domain_of(record.url.host),
-        );
-    }
 
     /// Ingest a block whose `derived` holds [`FilterInference::COLUMNS`].
     pub fn ingest_block(&mut self, block: &[RecordView<'_>], derived: &Derived<'_>) {
@@ -519,14 +508,6 @@ impl InferenceAnalysis {
 }
 
 impl crate::registry::Analysis for InferenceAnalysis {
-    fn key(&self) -> &'static str {
-        "inference"
-    }
-
-    fn title(&self) -> &'static str {
-        "Filter inference (5.4 recovery)"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &AnalysisContext,
@@ -539,6 +520,14 @@ impl crate::registry::Analysis for InferenceAnalysis {
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
         let other: InferenceAnalysis = crate::registry::downcast(other);
         self.inner.merge(other.inner);
+    }
+
+    fn headline(&self) -> u64 {
+        self.inner
+            .keyword_counts
+            .iter()
+            .map(|(censored, _, _)| censored)
+            .sum()
     }
 
     fn render(&self, ctx: &AnalysisContext) -> String {
@@ -622,20 +611,6 @@ impl MechanismInference {
         Self::default()
     }
 
-    /// Feed one record (only censored records vote).
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        if let Some(kind) = classify_mechanism_view(record) {
-            self.votes[kind.index()] += 1;
-        }
-    }
-
-    /// Fold a sibling shard in.
-    pub fn merge(&mut self, other: MechanismInference) {
-        for (mine, theirs) in self.votes.iter_mut().zip(other.votes) {
-            *mine += theirs;
-        }
-    }
-
     /// Votes for one mechanism.
     pub fn votes_for(&self, kind: ProfileKind) -> u64 {
         self.votes[kind.index()]
@@ -691,28 +666,29 @@ impl MechanismInference {
 }
 
 impl crate::registry::Analysis for MechanismInference {
-    fn key(&self) -> &'static str {
-        "mechanism"
-    }
-
-    fn title(&self) -> &'static str {
-        "Censorship-mechanism inference"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &AnalysisContext,
         block: &[RecordView<'_>],
         _derived: &Derived<'_>,
     ) {
+        // Only visibly censored records vote.
         for record in block {
-            MechanismInference::ingest(self, record);
+            if let Some(kind) = classify_mechanism_view(record) {
+                self.votes[kind.index()] += 1;
+            }
         }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
         let other: MechanismInference = crate::registry::downcast(other);
-        MechanismInference::merge(self, other);
+        for (mine, theirs) in self.votes.iter_mut().zip(other.votes) {
+            *mine += theirs;
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.total()
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -760,6 +736,7 @@ impl crate::registry::Analysis for MechanismInference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -777,8 +754,8 @@ mod tests {
         }
     }
 
-    fn engine() -> FilterInference {
-        FilterInference::new(&filterscope_proxy::config::KEYWORDS)
+    fn engine() -> InferenceAnalysis {
+        InferenceAnalysis::new(&filterscope_proxy::config::KEYWORDS, 0)
     }
 
     #[test]
@@ -802,7 +779,7 @@ mod tests {
                     RequestUrl::http("upload.youtube.com", format!("/up/{i}")),
                     RequestUrl::http(format!("ok{i}.example"), "/index.html"),
                 ] {
-                    m.ingest(&farm.process(&Request::get(ts, url)).as_view());
+                    feed(&mut m, &[farm.process(&Request::get(ts, url))]);
                 }
             }
             let (got, confidence) = m.verdict().expect("censored records voted");
@@ -820,15 +797,15 @@ mod tests {
         let censored = rec("metacafe.com", "/", "", true);
         let allowed = rec("ok.example", "/", "", false);
         let mut single = MechanismInference::new();
-        single.ingest(&censored.as_view());
-        single.ingest(&allowed.as_view());
-        single.ingest(&censored.as_view());
+        feed(
+            &mut single,
+            &[censored.clone(), allowed.clone(), censored.clone()],
+        );
         let mut a = MechanismInference::new();
-        a.ingest(&censored.as_view());
+        feed(&mut a, std::slice::from_ref(&censored));
         let mut b = MechanismInference::new();
-        b.ingest(&allowed.as_view());
-        b.ingest(&censored.as_view());
-        a.merge(b);
+        feed(&mut b, &[allowed, censored]);
+        a.merge(Box::new(b));
         assert_eq!(a.verdict(), single.verdict());
         assert_eq!(a.total(), 2, "allowed records must not vote");
         assert_eq!(a.votes_for(ProfileKind::BlueCoat), 2);
@@ -839,15 +816,20 @@ mod tests {
         let mut f = engine();
         // "proxy" appears censored on three distinct domains...
         for i in 0..30 {
-            f.ingest(&rec("a.com", &format!("/x/proxy/{i}"), "", true).as_view());
-            f.ingest(&rec("b.com", "/api/proxy", "", true).as_view());
-            f.ingest(&rec("c.net", "/", "go=proxy", true).as_view());
+            feed(
+                &mut f,
+                &[
+                    rec("a.com", &format!("/x/proxy/{i}"), "", true),
+                    rec("b.com", "/api/proxy", "", true),
+                    rec("c.net", "/", "go=proxy", true),
+                ],
+            );
             // ...while "api" also appears in allowed traffic.
-            f.ingest(&rec("d.com", "/api/ok", "", false).as_view());
+            feed(&mut f, &[rec("d.com", "/api/ok", "", false)]);
             // a.com also has allowed traffic, so it's not a domain rule.
-            f.ingest(&rec("a.com", "/fine", "", false).as_view());
+            feed(&mut f, &[rec("a.com", "/fine", "", false)]);
         }
-        let kws = f.recover_keywords(10, 3);
+        let kws = f.inner.recover_keywords(10, 3);
         assert_eq!(kws, vec!["proxy".to_string()]);
     }
 
@@ -855,12 +837,17 @@ mod tests {
     fn single_domain_token_is_not_a_keyword() {
         let mut f = engine();
         for i in 0..50 {
-            f.ingest(&rec("metacafe.com", &format!("/watch/{i}"), "", true).as_view());
-            f.ingest(&rec("metacafe.com", "/", "", true).as_view());
+            feed(
+                &mut f,
+                &[
+                    rec("metacafe.com", &format!("/watch/{i}"), "", true),
+                    rec("metacafe.com", "/", "", true),
+                ],
+            );
         }
-        assert!(f.recover_keywords(10, 3).is_empty());
+        assert!(f.inner.recover_keywords(10, 3).is_empty());
         // But metacafe.com is recovered as a suspected domain.
-        let doms = f.recover_domains(10);
+        let doms = f.inner.recover_domains(10);
         assert_eq!(doms.len(), 1);
         assert_eq!(doms[0].0, "metacafe.com");
         assert_eq!(doms[0].1.allowed, 0);
@@ -870,11 +857,16 @@ mod tests {
     fn superstrings_of_keywords_are_dropped() {
         let mut f = engine();
         for i in 0..30 {
-            f.ingest(&rec(&format!("h{}.com", i % 5), "/tbproxy/af", "", true).as_view());
-            f.ingest(&rec(&format!("g{}.com", i % 5), "/webproxy/x", "", true).as_view());
-            f.ingest(&rec(&format!("k{}.com", i % 5), "/", "p=proxy", true).as_view());
+            feed(
+                &mut f,
+                &[
+                    rec(&format!("h{}.com", i % 5), "/tbproxy/af", "", true),
+                    rec(&format!("g{}.com", i % 5), "/webproxy/x", "", true),
+                    rec(&format!("k{}.com", i % 5), "/", "p=proxy", true),
+                ],
+            );
         }
-        let kws = f.recover_keywords(10, 3);
+        let kws = f.inner.recover_keywords(10, 3);
         assert_eq!(kws, vec!["proxy".to_string()]);
     }
 
@@ -882,12 +874,21 @@ mod tests {
     fn allowed_occurrence_kills_candidate() {
         let mut f = engine();
         for i in 0..30 {
-            f.ingest(&rec(&format!("h{}.com", i % 5), "/special/thing", "", true).as_view());
+            feed(
+                &mut f,
+                &[rec(&format!("h{}.com", i % 5), "/special/thing", "", true)],
+            );
         }
         // One allowed occurrence anywhere kills it.
-        f.ingest(&rec("ok.com", "/special/page", "", false).as_view());
-        assert!(!f.recover_keywords(10, 3).contains(&"special".to_string()));
-        assert!(f.recover_keywords(10, 3).contains(&"thing".to_string()));
+        feed(&mut f, &[rec("ok.com", "/special/page", "", false)]);
+        assert!(!f
+            .inner
+            .recover_keywords(10, 3)
+            .contains(&"special".to_string()));
+        assert!(f
+            .inner
+            .recover_keywords(10, 3)
+            .contains(&"thing".to_string()));
     }
 
     #[test]
@@ -895,18 +896,26 @@ mod tests {
         let mut f = engine();
         // Censored but never bare: ambiguous, not suspected.
         for i in 0..20 {
-            f.ingest(&rec("amb.com", &format!("/deep/{i}"), "q=1", true).as_view());
+            feed(
+                &mut f,
+                &[rec("amb.com", &format!("/deep/{i}"), "q=1", true)],
+            );
         }
         // Censored with bare evidence: suspected.
         for _ in 0..20 {
-            f.ingest(&rec("clear.com", "/", "", true).as_view());
+            feed(&mut f, &[rec("clear.com", "/", "", true)]);
         }
         // Censored and bare but also allowed: not suspected.
         for _ in 0..20 {
-            f.ingest(&rec("mixed.com", "/", "", true).as_view());
+            feed(&mut f, &[rec("mixed.com", "/", "", true)]);
         }
-        f.ingest(&rec("mixed.com", "/other", "", false).as_view());
-        let doms: Vec<String> = f.recover_domains(10).into_iter().map(|(d, _)| d).collect();
+        feed(&mut f, &[rec("mixed.com", "/other", "", false)]);
+        let doms: Vec<String> = f
+            .inner
+            .recover_domains(10)
+            .into_iter()
+            .map(|(d, _)| d)
+            .collect();
         assert_eq!(doms, vec!["clear.com".to_string()]);
     }
 
@@ -916,20 +925,25 @@ mod tests {
         // kproxy.com: every censored request contains the keyword `proxy`
         // (in the hostname), so domain-rule inference must skip it.
         for _ in 0..20 {
-            f.ingest(&rec("kproxy.com", "/", "", true).as_view());
+            feed(&mut f, &[rec("kproxy.com", "/", "", true)]);
         }
-        assert!(f.recover_domains(10).is_empty());
+        assert!(f.inner.recover_domains(10).is_empty());
     }
 
     #[test]
     fn il_domains_collapse() {
         let mut f = engine();
         for _ in 0..20 {
-            f.ingest(&rec("panet.co.il", "/", "", true).as_view());
-            f.ingest(&rec("haaretz.co.il", "/", "", true).as_view());
-            f.ingest(&rec("ynet.co.il", "/", "", true).as_view());
+            feed(
+                &mut f,
+                &[
+                    rec("panet.co.il", "/", "", true),
+                    rec("haaretz.co.il", "/", "", true),
+                    rec("ynet.co.il", "/", "", true),
+                ],
+            );
         }
-        let doms = f.recover_domains(10);
+        let doms = f.inner.recover_domains(10);
         assert_eq!(doms.len(), 1);
         assert_eq!(doms[0].0, ".il");
         assert_eq!(doms[0].1.censored, 60);
@@ -938,8 +952,13 @@ mod tests {
     #[test]
     fn table10_counts_known_keywords_per_class() {
         let mut f = engine();
-        f.ingest(&rec("x.com", "/get/ultrasurf.exe", "", true).as_view());
-        f.ingest(&rec("y.com", "/w", "q=israel", true).as_view());
+        feed(
+            &mut f,
+            &[
+                rec("x.com", "/get/ultrasurf.exe", "", true),
+                rec("y.com", "/w", "q=israel", true),
+            ],
+        );
         // Proxied row with a keyword.
         let prox = RecordBuilder::new(
             Timestamp::parse_fields("2011-08-02", "09:00:00").unwrap(),
@@ -948,17 +967,17 @@ mod tests {
         )
         .proxied()
         .build();
-        f.ingest(&prox.as_view());
+        feed(&mut f, &[prox]);
         let ix = |k: &str| {
             filterscope_proxy::config::KEYWORDS
                 .iter()
                 .position(|s| *s == k)
                 .unwrap()
         };
-        assert_eq!(f.keyword_counts[ix("ultrasurf")].0, 1);
-        assert_eq!(f.keyword_counts[ix("israel")].0, 1);
-        assert_eq!(f.keyword_counts[ix("proxy")].2, 1);
-        let s = f.render_table10();
+        assert_eq!(f.inner.keyword_counts[ix("ultrasurf")].0, 1);
+        assert_eq!(f.inner.keyword_counts[ix("israel")].0, 1);
+        assert_eq!(f.inner.keyword_counts[ix("proxy")].2, 1);
+        let s = f.inner.render_table10();
         assert!(s.contains("ultrasurf"));
     }
 
@@ -967,10 +986,15 @@ mod tests {
         let ctx = AnalysisContext::standard(None);
         let mut f = engine();
         for _ in 0..20 {
-            f.ingest(&rec("skype.com", "/", "", true).as_view());
-            f.ingest(&rec("metacafe.com", "/", "", true).as_view());
+            feed(
+                &mut f,
+                &[
+                    rec("skype.com", "/", "", true),
+                    rec("metacafe.com", "/", "", true),
+                ],
+            );
         }
-        let cats = f.categorize_suspected(&ctx, 10);
+        let cats = f.inner.categorize_suspected(&ctx, 10);
         assert!(cats
             .iter()
             .any(|(c, nd, n)| *c == Category::InstantMessaging && *nd == 1 && *n == 20));

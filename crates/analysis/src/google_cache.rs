@@ -45,11 +45,6 @@ impl GoogleCacheStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         if record.url.host != CACHE_HOST {
             return;
@@ -67,14 +62,6 @@ impl GoogleCacheStats {
             }
             _ => {}
         }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: GoogleCacheStats) {
-        self.total += other.total;
-        self.censored += other.censored;
-        self.censored_content_fetches += other.censored_content_fetches;
-        self.targets.merge(other.targets);
     }
 
     /// Render the §7.4 summary.
@@ -97,14 +84,6 @@ impl GoogleCacheStats {
 }
 
 impl crate::registry::Analysis for GoogleCacheStats {
-    fn key(&self) -> &'static str {
-        "google_cache"
-    }
-
-    fn title(&self) -> &'static str {
-        "Google-cache accesses"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -117,7 +96,15 @@ impl crate::registry::Analysis for GoogleCacheStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        GoogleCacheStats::merge(self, crate::registry::downcast(other));
+        let other: GoogleCacheStats = crate::registry::downcast(other);
+        self.total += other.total;
+        self.censored += other.censored;
+        self.censored_content_fetches += other.censored_content_fetches;
+        self.targets.merge(other.targets);
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -146,6 +133,7 @@ impl crate::registry::Analysis for GoogleCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed;
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -166,9 +154,14 @@ mod tests {
     #[test]
     fn counts_cache_traffic_and_censored_content() {
         let mut s = GoogleCacheStats::new();
-        s.ingest(&cache_rec("q=cache:www.panet.co.il/online/", false).as_view());
-        s.ingest(&cache_rec("q=cache:benign.example/page", false).as_view());
-        s.ingest(&cache_rec("q=cache:x+israel", true).as_view());
+        feed(
+            &mut s,
+            &[
+                cache_rec("q=cache:www.panet.co.il/online/", false),
+                cache_rec("q=cache:benign.example/page", false),
+                cache_rec("q=cache:x+israel", true),
+            ],
+        );
         assert_eq!(s.total, 3);
         assert_eq!(s.censored, 1);
         assert_eq!(s.censored_content_fetches, 1);
@@ -185,7 +178,7 @@ mod tests {
             RequestUrl::http("google.com", "/search").with_query("q=cache:panet.co.il"),
         )
         .build();
-        s.ingest(&r.as_view());
+        feed(&mut s, &[r]);
         assert_eq!(s.total, 0);
     }
 

@@ -31,11 +31,6 @@ impl HttpsStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         self.total_requests += 1;
         if !record.scheme().is_encrypted() {
@@ -56,15 +51,6 @@ impl HttpsStats {
                 self.censored_ip_host += 1;
             }
         }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: HttpsStats) {
-        self.total_requests += other.total_requests;
-        self.https_requests += other.https_requests;
-        self.https_censored += other.https_censored;
-        self.censored_ip_host += other.censored_ip_host;
-        self.mitm_evidence += other.mitm_evidence;
     }
 
     /// HTTPS share of all traffic (paper: 0.08 %).
@@ -123,14 +109,6 @@ impl HttpsStats {
 }
 
 impl crate::registry::Analysis for HttpsStats {
-    fn key(&self) -> &'static str {
-        "https"
-    }
-
-    fn title(&self) -> &'static str {
-        "HTTPS traffic and MITM check"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -143,7 +121,16 @@ impl crate::registry::Analysis for HttpsStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        HttpsStats::merge(self, crate::registry::downcast(other));
+        let other: HttpsStats = crate::registry::downcast(other);
+        self.total_requests += other.total_requests;
+        self.https_requests += other.https_requests;
+        self.https_censored += other.https_censored;
+        self.censored_ip_host += other.censored_ip_host;
+        self.mitm_evidence += other.mitm_evidence;
+    }
+
+    fn headline(&self) -> u64 {
+        self.https_censored
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -183,6 +170,7 @@ impl crate::registry::Analysis for HttpsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, Method, RequestUrl};
@@ -221,12 +209,17 @@ mod tests {
     fn shares_and_breakdown() {
         let mut s = HttpsStats::new();
         for _ in 0..96 {
-            s.ingest(&http("plain.example").as_view());
+            feed(&mut s, &[http("plain.example")]);
         }
-        s.ingest(&connect("mail.example", false).as_view());
-        s.ingest(&connect("84.229.1.1", true).as_view());
-        s.ingest(&connect("ssl.skype.com", true).as_view());
-        s.ingest(&connect("46.120.0.9", true).as_view());
+        feed(
+            &mut s,
+            &[
+                connect("mail.example", false),
+                connect("84.229.1.1", true),
+                connect("ssl.skype.com", true),
+                connect("46.120.0.9", true),
+            ],
+        );
         assert_eq!(s.https_requests, 4);
         assert!((s.https_share() - 0.04).abs() < 1e-9);
         assert!((s.censored_share() - 0.75).abs() < 1e-9);
@@ -239,19 +232,19 @@ mod tests {
         let mut s = HttpsStats::new();
         let mut rec = connect("bank.example", false);
         rec.url.path = "/account/transfer".into();
-        s.ingest(&rec.as_view());
+        feed(&mut s, &[rec]);
         assert_eq!(s.mitm_evidence, 1);
         // Query alone also counts.
         let mut rec = connect("bank.example", false);
         rec.url.query = "session=abc".into();
-        s.ingest(&rec.as_view());
+        feed(&mut s, &[rec]);
         assert_eq!(s.mitm_evidence, 2);
     }
 
     #[test]
     fn plain_http_is_not_https() {
         let mut s = HttpsStats::new();
-        s.ingest(&http("x.com").as_view());
+        feed(&mut s, &[http("x.com")]);
         assert_eq!(s.https_requests, 0);
         assert_eq!(s.total_requests, 1);
     }
@@ -259,10 +252,10 @@ mod tests {
     #[test]
     fn merge_and_render() {
         let mut a = HttpsStats::new();
-        a.ingest(&connect("h.example", false).as_view());
+        feed(&mut a, &[connect("h.example", false)]);
         let mut b = HttpsStats::new();
-        b.ingest(&connect("84.229.1.1", true).as_view());
-        a.merge(b);
+        feed(&mut b, &[connect("84.229.1.1", true)]);
+        a.merge(Box::new(b));
         assert_eq!(a.https_requests, 2);
         assert!(a.render().contains("MITM"));
     }

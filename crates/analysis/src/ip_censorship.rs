@@ -50,11 +50,6 @@ impl IpCensorship {
         }
     }
 
-    /// Ingest one record (ignores records whose host is not a literal IP).
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.add(ctx, record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         let Some(ip) = record.url.host_ip() else {
             return;
@@ -84,24 +79,6 @@ impl IpCensorship {
                     RequestClass::Error => {}
                 }
             }
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: IpCensorship) {
-        for (c, v) in other.by_country {
-            let e = self.by_country.entry(c).or_default();
-            e.censored += v.censored;
-            e.allowed += v.allowed;
-        }
-        self.unresolved.censored += other.unresolved.censored;
-        self.unresolved.allowed += other.unresolved.allowed;
-        for (mine, theirs) in self.by_subnet.iter_mut().zip(other.by_subnet) {
-            mine.censored += theirs.censored;
-            mine.allowed += theirs.allowed;
-            mine.proxied += theirs.proxied;
-            mine.censored_ips.extend(theirs.censored_ips);
-            mine.allowed_ips.extend(theirs.allowed_ips);
         }
     }
 
@@ -185,14 +162,6 @@ impl IpCensorship {
 }
 
 impl crate::registry::Analysis for IpCensorship {
-    fn key(&self) -> &'static str {
-        "ip"
-    }
-
-    fn title(&self) -> &'static str {
-        "IP-based censorship"
-    }
-
     fn ingest_block(
         &mut self,
         ctx: &crate::AnalysisContext,
@@ -205,7 +174,25 @@ impl crate::registry::Analysis for IpCensorship {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        IpCensorship::merge(self, crate::registry::downcast(other));
+        let other: IpCensorship = crate::registry::downcast(other);
+        for (c, v) in other.by_country {
+            let e = self.by_country.entry(c).or_default();
+            e.censored += v.censored;
+            e.allowed += v.allowed;
+        }
+        self.unresolved.censored += other.unresolved.censored;
+        self.unresolved.allowed += other.unresolved.allowed;
+        for (mine, theirs) in self.by_subnet.iter_mut().zip(other.by_subnet) {
+            mine.censored += theirs.censored;
+            mine.allowed += theirs.allowed;
+            mine.proxied += theirs.proxied;
+            mine.censored_ips.extend(theirs.censored_ips);
+            mine.allowed_ips.extend(theirs.allowed_ips);
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.by_country.values().map(|c| c.censored).sum()
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -296,6 +283,7 @@ impl crate::registry::Analysis for IpCensorship {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed_with, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -318,17 +306,24 @@ mod tests {
         let ctx = AnalysisContext::standard(None);
         let mut s = IpCensorship::standard();
         // Israel: 2 censored, 1 allowed (67%).
-        s.ingest(&ctx, &rec("84.229.0.5", true).as_view());
-        s.ingest(&ctx, &rec("84.229.0.6", true).as_view());
-        s.ingest(&ctx, &rec("80.179.0.7", false).as_view());
+        feed_with(
+            &ctx,
+            &mut s,
+            &[
+                rec("84.229.0.5", true),
+                rec("84.229.0.6", true),
+                rec("80.179.0.7", false),
+            ],
+        );
         // NL: huge but barely censored.
         for i in 0..100 {
-            s.ingest(
+            feed_with(
                 &ctx,
-                &rec(&format!("94.228.128.{}", i % 250), false).as_view(),
+                &mut s,
+                &[rec(&format!("94.228.128.{}", i % 250), false)],
             );
         }
-        s.ingest(&ctx, &rec("94.228.129.9", true).as_view());
+        feed_with(&ctx, &mut s, &[rec("94.228.129.9", true)]);
         let ratios = s.censorship_ratios();
         assert_eq!(ratios[0].0, Country::of("IL"));
         assert!(ratios[0].1 > 60.0);
@@ -343,7 +338,7 @@ mod tests {
     fn hostnames_are_ignored() {
         let ctx = AnalysisContext::standard(None);
         let mut s = IpCensorship::standard();
-        s.ingest(&ctx, &rec("facebook.com", true).as_view());
+        feed_with(&ctx, &mut s, &[rec("facebook.com", true)]);
         assert!(s.by_country.is_empty());
     }
 
@@ -351,10 +346,16 @@ mod tests {
     fn subnet_drilldown_counts_ips_and_requests() {
         let ctx = AnalysisContext::standard(None);
         let mut s = IpCensorship::standard();
-        s.ingest(&ctx, &rec("84.229.1.1", true).as_view());
-        s.ingest(&ctx, &rec("84.229.1.1", true).as_view());
-        s.ingest(&ctx, &rec("84.229.1.2", true).as_view());
-        s.ingest(&ctx, &rec("212.150.3.3", false).as_view());
+        feed_with(
+            &ctx,
+            &mut s,
+            &[
+                rec("84.229.1.1", true),
+                rec("84.229.1.1", true),
+                rec("84.229.1.2", true),
+                rec("212.150.3.3", false),
+            ],
+        );
         let ix = filterscope_geoip::data::ISRAELI_SUBNETS
             .iter()
             .position(|b| *b == "84.229.0.0/16")
@@ -374,7 +375,7 @@ mod tests {
     fn unresolved_space_is_tracked_separately() {
         let ctx = AnalysisContext::standard(None);
         let mut s = IpCensorship::standard();
-        s.ingest(&ctx, &rec("192.168.1.1", true).as_view());
+        feed_with(&ctx, &mut s, &[rec("192.168.1.1", true)]);
         assert_eq!(s.unresolved.censored, 1);
         assert!(s.by_country.is_empty());
     }
@@ -383,10 +384,10 @@ mod tests {
     fn merge_combines() {
         let ctx = AnalysisContext::standard(None);
         let mut a = IpCensorship::standard();
-        a.ingest(&ctx, &rec("84.229.1.1", true).as_view());
+        feed_with(&ctx, &mut a, &[rec("84.229.1.1", true)]);
         let mut b = IpCensorship::standard();
-        b.ingest(&ctx, &rec("84.229.1.1", false).as_view());
-        a.merge(b);
+        feed_with(&ctx, &mut b, &[rec("84.229.1.1", false)]);
+        a.merge(Box::new(b));
         let il = a.by_country[&Country::of("IL")];
         assert_eq!((il.censored, il.allowed), (1, 1));
     }
@@ -395,7 +396,7 @@ mod tests {
     fn render_table11_contains_israel() {
         let ctx = AnalysisContext::standard(None);
         let mut s = IpCensorship::standard();
-        s.ingest(&ctx, &rec("46.120.0.1", true).as_view());
+        feed_with(&ctx, &mut s, &[rec("46.120.0.1", true)]);
         assert!(s.render_table11().contains("Israel"));
     }
 }

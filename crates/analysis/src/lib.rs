@@ -2,9 +2,10 @@
 //!
 //! The paper's analysis pipeline as a reusable library: every table and
 //! figure of *Censorship in the Wild* is an accumulator that ingests
-//! [`filterscope_logformat::LogRecord`]s in a single streaming pass,
-//! supports `merge` for parallel sharding, and renders the published
-//! artifact (rows/series) plus typed results for programmatic use.
+//! blocks of [`filterscope_logformat::RecordView`]s in a single streaming
+//! pass, supports `merge` for parallel sharding, and renders the published
+//! artifact (rows/series) plus typed results for programmatic use. Each is
+//! one [`registry::Analysis`] impl plus one [`registry::REGISTRY`] row.
 //!
 //! Map from paper artifact to module:
 //!

@@ -1,6 +1,6 @@
 //! Table 3: the filter-result × exception breakdown across datasets.
 
-use crate::datasets::{in_denied_dataset, in_sample, in_user_dataset};
+use crate::datasets::{in_denied_dataset, in_user_dataset};
 use crate::report::{count_pct, Table};
 use filterscope_logformat::{ExceptionId, FilterResult, RecordView};
 
@@ -71,11 +71,6 @@ impl TrafficOverview {
         }
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, in_sample(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, sample: bool) {
         self.total.add(record, sample);
         match record.filter_result {
@@ -110,21 +105,6 @@ impl TrafficOverview {
                 c.add(record, sample);
                 c
             }));
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: TrafficOverview) {
-        self.allowed.merge(&other.allowed);
-        self.proxied.merge(&other.proxied);
-        self.denied_total.merge(&other.denied_total);
-        self.total.merge(&other.total);
-        for (e, counts) in other.by_exception {
-            if let Some((_, mine)) = self.by_exception.iter_mut().find(|(k, _)| *k == e) {
-                mine.merge(&counts);
-            } else {
-                self.by_exception.push((e, counts));
-            }
         }
     }
 
@@ -177,14 +157,6 @@ impl TrafficOverview {
 }
 
 impl crate::registry::Analysis for TrafficOverview {
-    fn key(&self) -> &'static str {
-        "overview"
-    }
-
-    fn title(&self) -> &'static str {
-        "Traffic overview"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -197,7 +169,23 @@ impl crate::registry::Analysis for TrafficOverview {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        TrafficOverview::merge(self, crate::registry::downcast(other));
+        let other: TrafficOverview = crate::registry::downcast(other);
+        self.allowed.merge(&other.allowed);
+        self.proxied.merge(&other.proxied);
+        self.denied_total.merge(&other.denied_total);
+        self.total.merge(&other.total);
+        for (e, counts) in other.by_exception {
+            if let Some((_, mine)) = self.by_exception.iter_mut().find(|(k, _)| *k == e) {
+                mine.merge(&counts);
+            } else {
+                self.by_exception.push((e, counts));
+            }
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        let o = &self.denied_total;
+        o.full + o.sample + o.user + o.denied
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -278,6 +266,7 @@ impl crate::registry::Analysis for TrafficOverview {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::RequestUrl;
@@ -293,15 +282,15 @@ mod tests {
     #[test]
     fn rows_partition_the_traffic() {
         let mut o = TrafficOverview::new();
-        o.ingest(&base("a.com").build().as_view());
-        o.ingest(&base("b.com").policy_denied().build().as_view());
-        o.ingest(
-            &base("c.com")
-                .network_error(ExceptionId::TcpError)
-                .build()
-                .as_view(),
+        feed(
+            &mut o,
+            &[
+                base("a.com").build(),
+                base("b.com").policy_denied().build(),
+                base("c.com").network_error(ExceptionId::TcpError).build(),
+                base("d.com").proxied().build(),
+            ],
         );
-        o.ingest(&base("d.com").proxied().build().as_view());
         assert_eq!(o.total.full, 4);
         assert_eq!(o.allowed.full, 1);
         assert_eq!(o.proxied.full, 1);
@@ -318,12 +307,12 @@ mod tests {
     #[test]
     fn proxied_with_exception_counts_in_denied_dataset_only() {
         let mut o = TrafficOverview::new();
-        o.ingest(
-            &base("x.com")
+        feed(
+            &mut o,
+            &[base("x.com")
                 .proxied()
                 .exception(ExceptionId::PolicyDenied)
-                .build()
-                .as_view(),
+                .build()],
         );
         assert_eq!(o.proxied.full, 1);
         assert_eq!(o.proxied.denied, 1);
@@ -336,11 +325,11 @@ mod tests {
     #[test]
     fn unknown_exception_grows_the_table() {
         let mut o = TrafficOverview::new();
-        o.ingest(
-            &base("y.com")
+        feed(
+            &mut o,
+            &[base("y.com")
                 .network_error(ExceptionId::Other("icap_error".into()))
-                .build()
-                .as_view(),
+                .build()],
         );
         assert!(o
             .by_exception
@@ -351,10 +340,10 @@ mod tests {
     #[test]
     fn merge_combines_rows() {
         let mut a = TrafficOverview::new();
-        a.ingest(&base("a.com").build().as_view());
+        feed(&mut a, &[base("a.com").build()]);
         let mut b = TrafficOverview::new();
-        b.ingest(&base("b.com").policy_denied().build().as_view());
-        a.merge(b);
+        feed(&mut b, &[base("b.com").policy_denied().build()]);
+        a.merge(Box::new(b));
         assert_eq!(a.total.full, 2);
         assert_eq!(a.censored_full(), 1);
     }
@@ -362,7 +351,7 @@ mod tests {
     #[test]
     fn render_contains_expected_rows() {
         let mut o = TrafficOverview::new();
-        o.ingest(&base("a.com").build().as_view());
+        feed(&mut o, &[base("a.com").build()]);
         let s = o.render();
         assert!(s.contains("OBSERVED / -"));
         assert!(s.contains("policy_denied"));

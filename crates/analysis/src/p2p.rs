@@ -30,11 +30,6 @@ impl BitTorrentStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.add(ctx, record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         if !AnnounceRequest::is_announce_path(record.url.path) {
             return;
@@ -51,17 +46,6 @@ impl BitTorrentStats {
         self.contents
             .entry(announce.info_hash)
             .or_insert_with(|| ctx.titles.resolve(announce.info_hash).map(|(_, c)| c));
-    }
-
-    /// Merge a shard (info-hashes seen in several shards dedupe exactly).
-    pub fn merge(&mut self, other: BitTorrentStats) {
-        self.announces += other.announces;
-        self.censored_announces += other.censored_announces;
-        self.malformed += other.malformed;
-        self.peers.extend(other.peers);
-        for (k, v) in other.contents {
-            self.contents.entry(k).or_insert(v);
-        }
     }
 
     /// Distinct contents resolved to a title.
@@ -123,14 +107,6 @@ impl BitTorrentStats {
 }
 
 impl crate::registry::Analysis for BitTorrentStats {
-    fn key(&self) -> &'static str {
-        "bittorrent"
-    }
-
-    fn title(&self) -> &'static str {
-        "BitTorrent activity"
-    }
-
     fn ingest_block(
         &mut self,
         ctx: &crate::AnalysisContext,
@@ -143,7 +119,18 @@ impl crate::registry::Analysis for BitTorrentStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        BitTorrentStats::merge(self, crate::registry::downcast(other));
+        let other: BitTorrentStats = crate::registry::downcast(other);
+        self.announces += other.announces;
+        self.censored_announces += other.censored_announces;
+        self.malformed += other.malformed;
+        self.peers.extend(other.peers);
+        for (k, v) in other.contents {
+            self.contents.entry(k).or_insert(v);
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored_announces
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -218,6 +205,7 @@ impl crate::registry::Analysis for BitTorrentStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed_with, Analysis};
     use filterscope_bittorrent::AnnounceEvent;
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
@@ -249,21 +237,15 @@ mod tests {
     fn counts_peers_and_contents() {
         let ctx = AnalysisContext::standard(None);
         let mut s = BitTorrentStats::new();
-        s.ingest(
+        feed_with(
             &ctx,
-            &announce_rec(1, 1, "tracker.example", false).as_view(),
-        );
-        s.ingest(
-            &ctx,
-            &announce_rec(1, 2, "tracker.example", false).as_view(),
-        );
-        s.ingest(
-            &ctx,
-            &announce_rec(2, 1, "tracker.example", false).as_view(),
-        );
-        s.ingest(
-            &ctx,
-            &announce_rec(3, 3, "tracker-proxy.furk.net", true).as_view(),
+            &mut s,
+            &[
+                announce_rec(1, 1, "tracker.example", false),
+                announce_rec(1, 2, "tracker.example", false),
+                announce_rec(2, 1, "tracker.example", false),
+                announce_rec(3, 3, "tracker-proxy.furk.net", true),
+            ],
         );
         assert_eq!(s.announces, 4);
         assert_eq!(s.peers.len(), 3);
@@ -282,7 +264,7 @@ mod tests {
             RequestUrl::http("x.com", "/scrape").with_query("info_hash=zz"),
         )
         .build();
-        s.ingest(&ctx, &not_announce.as_view());
+        feed_with(&ctx, &mut s, &[not_announce]);
         assert_eq!(s.announces, 0);
         let malformed = RecordBuilder::new(
             Timestamp::parse_fields("2011-08-02", "09:00:00").unwrap(),
@@ -290,7 +272,7 @@ mod tests {
             RequestUrl::http("x.com", "/announce").with_query("garbage"),
         )
         .build();
-        s.ingest(&ctx, &malformed.as_view());
+        feed_with(&ctx, &mut s, &[malformed]);
         assert_eq!(s.malformed, 1);
     }
 
@@ -299,7 +281,7 @@ mod tests {
         let ctx = AnalysisContext::standard(None);
         let mut s = BitTorrentStats::new();
         for i in 0..200u8 {
-            s.ingest(&ctx, &announce_rec(i, i, "t.example", false).as_view());
+            feed_with(&ctx, &mut s, &[announce_rec(i, i, "t.example", false)]);
         }
         let rate = s.resolution_rate();
         assert!((0.5..0.95).contains(&rate), "rate {rate}");
@@ -320,12 +302,12 @@ mod tests {
         let mut a = BitTorrentStats::new();
         let mut b = BitTorrentStats::new();
         for i in 0..50u8 {
-            a.ingest(&ctx, &announce_rec(i, 1, "t.example", false).as_view());
-            b.ingest(&ctx, &announce_rec(i, 2, "t.example", false).as_view());
+            feed_with(&ctx, &mut a, &[announce_rec(i, 1, "t.example", false)]);
+            feed_with(&ctx, &mut b, &[announce_rec(i, 2, "t.example", false)]);
         }
         let solo_resolved = a.resolved();
         let solo_contents = a.contents.len();
-        a.merge(b);
+        a.merge(Box::new(b));
         assert_eq!(a.contents.len(), solo_contents);
         assert_eq!(a.resolved(), solo_resolved);
         assert_eq!(a.announces, 100);

@@ -4,9 +4,8 @@
 //! loop leaves every core but one idle. [`ParallelIngest`] fans a set of
 //! log files out to N workers: each file is split into byte-range shards
 //! aligned to newline boundaries, every shard feeds a private sink (an
-//! [`AnalysisSuite`], [`FilterInference`], or [`WeatherReport`] shard), and
-//! the shards are folded through the existing `merge()` plumbing in a
-//! deterministic order.
+//! [`AnalysisSuite`] shard, via [`SuiteSink`]), and the shards are folded
+//! through the suite's `merge()` in a deterministic order.
 //!
 //! # Determinism
 //!
@@ -33,11 +32,8 @@
 //! schema without replaying the file prefix.
 
 use crate::context::AnalysisContext;
-use crate::derived::Derived;
-use crate::filter_inference::FilterInference;
 use crate::registry::{Selection, SuiteParams};
 use crate::suite::AnalysisSuite;
-use crate::weather::WeatherReport;
 use filterscope_core::{pool, Error, Progress, Result};
 use filterscope_logformat::{scan_sections, BlockParser, BlockReader, RecordView, Schema};
 use std::path::{Path, PathBuf};
@@ -52,55 +48,17 @@ pub const DEFAULT_SHARD_BYTES: u64 = 8 * 1024 * 1024;
 /// An accumulator that can ingest records on one shard and absorb sibling
 /// shards, preserving the result it would have reached single-threaded.
 ///
-/// Ingest takes a borrowed [`RecordView`] — the shard worker parses each
-/// line zero-copy and the sink reads field slices straight out of the I/O
-/// buffer. Sinks that need to retain a field allocate for that field only.
+/// Ingest takes borrowed [`RecordView`]s, a block at a time — the shard
+/// worker parses each line zero-copy and the sink reads field slices
+/// straight out of the I/O buffer. Sinks that need to retain a field
+/// allocate for that field only.
 pub trait ShardSink: Send {
-    /// Feed one parsed record view.
-    fn ingest(&mut self, record: &RecordView<'_>);
-
     /// Feed a whole block of parsed record views (the unit the block
-    /// reader produces). The default loops [`ShardSink::ingest`], so every
-    /// sink is batch-equivalent by construction; sinks that fan out to many
-    /// accumulators override this to amortize dispatch (see [`SuiteSink`]).
-    fn ingest_block(&mut self, block: &[RecordView<'_>]) {
-        for record in block {
-            self.ingest(record);
-        }
-    }
+    /// reader produces).
+    fn ingest_block(&mut self, block: &[RecordView<'_>]);
 
     /// Fold a sibling shard in (shards are absorbed in plan order).
     fn absorb(&mut self, other: Self);
-}
-
-impl ShardSink for FilterInference {
-    fn ingest(&mut self, record: &RecordView<'_>) {
-        FilterInference::ingest(self, record);
-    }
-
-    fn ingest_block(&mut self, block: &[RecordView<'_>]) {
-        let derived = Derived::compute(block, FilterInference::COLUMNS);
-        FilterInference::ingest_block(self, block, &derived);
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.merge(other);
-    }
-}
-
-impl ShardSink for WeatherReport {
-    fn ingest(&mut self, record: &RecordView<'_>) {
-        WeatherReport::ingest(self, record);
-    }
-
-    fn ingest_block(&mut self, block: &[RecordView<'_>]) {
-        let derived = Derived::compute(block, FilterInference::COLUMNS);
-        WeatherReport::ingest_block(self, block, &derived);
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.merge(other);
-    }
 }
 
 /// [`AnalysisSuite`] plus the shared read-only context it ingests under.
@@ -110,14 +68,6 @@ pub struct SuiteSink<'a> {
 }
 
 impl<'a> SuiteSink<'a> {
-    /// A fresh default-suite shard over `ctx`.
-    pub fn new(ctx: &'a AnalysisContext, min_support: u64) -> Self {
-        SuiteSink {
-            ctx,
-            suite: AnalysisSuite::new(min_support),
-        }
-    }
-
     /// A fresh shard running only the selected analyses.
     pub fn with_selection(
         ctx: &'a AnalysisContext,
@@ -137,10 +87,6 @@ impl<'a> SuiteSink<'a> {
 }
 
 impl ShardSink for SuiteSink<'_> {
-    fn ingest(&mut self, record: &RecordView<'_>) {
-        self.suite.ingest(self.ctx, record);
-    }
-
     fn ingest_block(&mut self, block: &[RecordView<'_>]) {
         self.suite.ingest_block(self.ctx, block);
     }
@@ -314,17 +260,6 @@ impl ParallelIngest {
         Ok((merged, stats))
     }
 
-    /// Build a merged [`AnalysisSuite`] from `paths`.
-    pub fn ingest_suite(
-        &self,
-        paths: &[PathBuf],
-        ctx: &AnalysisContext,
-        min_support: u64,
-    ) -> Result<(AnalysisSuite, IngestStats)> {
-        let (sink, stats) = self.run(paths, || SuiteSink::new(ctx, min_support))?;
-        Ok((sink.into_suite(), stats))
-    }
-
     /// Build a merged selective [`AnalysisSuite`] from `paths`: per-shard
     /// suites carry only the selected analyses, so a `--analyses domains`
     /// run pays the ingest cost of one accumulator, not eighteen.
@@ -338,21 +273,6 @@ impl ParallelIngest {
         let (sink, stats) =
             self.run(paths, || SuiteSink::with_selection(ctx, params, selection))?;
         Ok((sink.into_suite(), stats))
-    }
-
-    /// Build a merged [`FilterInference`] from `paths`.
-    pub fn ingest_inference(&self, paths: &[PathBuf]) -> Result<(FilterInference, IngestStats)> {
-        self.run(paths, || FilterInference::new(&[]))
-    }
-
-    /// Build a merged [`WeatherReport`] from `paths`.
-    pub fn ingest_weather(
-        &self,
-        paths: &[PathBuf],
-        min_support: u64,
-        min_domains: usize,
-    ) -> Result<(WeatherReport, IngestStats)> {
-        self.run(paths, || WeatherReport::new(min_support, min_domains))
     }
 
     /// Scan one file for `#Fields:` schema sections (block-wise, via
@@ -534,8 +454,9 @@ mod tests {
     }
 
     impl ShardSink for Counter {
-        fn ingest(&mut self, record: &RecordView<'_>) {
-            self.hosts.push(record.host().to_string());
+        fn ingest_block(&mut self, block: &[RecordView<'_>]) {
+            self.hosts
+                .extend(block.iter().map(|record| record.host().to_string()));
         }
 
         fn absorb(&mut self, other: Self) {

@@ -17,23 +17,12 @@ impl PortStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         match class {
             RequestClass::Allowed => self.allowed.bump(record.url.port),
             RequestClass::Censored => self.censored.bump(record.url.port),
             _ => {}
         }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: PortStats) {
-        self.allowed.merge(other.allowed);
-        self.censored.merge(other.censored);
     }
 
     /// Top censored ports.
@@ -69,14 +58,6 @@ impl PortStats {
 }
 
 impl crate::registry::Analysis for PortStats {
-    fn key(&self) -> &'static str {
-        "ports"
-    }
-
-    fn title(&self) -> &'static str {
-        "Destination ports"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -89,7 +70,13 @@ impl crate::registry::Analysis for PortStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        PortStats::merge(self, crate::registry::downcast(other));
+        let other: PortStats = crate::registry::downcast(other);
+        self.allowed.merge(other.allowed);
+        self.censored.merge(other.censored);
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored.total()
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -117,6 +104,7 @@ impl crate::registry::Analysis for PortStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed;
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -137,9 +125,7 @@ mod tests {
     #[test]
     fn counts_by_class() {
         let mut p = PortStats::new();
-        p.ingest(&rec(80, false).as_view());
-        p.ingest(&rec(80, true).as_view());
-        p.ingest(&rec(9001, true).as_view());
+        feed(&mut p, &[rec(80, false), rec(80, true), rec(9001, true)]);
         assert_eq!(p.allowed.get(&80), 1);
         assert_eq!(p.censored.get(&80), 1);
         assert_eq!(p.censored.get(&9001), 1);
@@ -156,7 +142,7 @@ mod tests {
         )
         .network_error(filterscope_logformat::ExceptionId::TcpError)
         .build();
-        p.ingest(&r.as_view());
+        feed(&mut p, &[r]);
         assert_eq!(p.allowed.total() + p.censored.total(), 0);
     }
 
@@ -164,9 +150,9 @@ mod tests {
     fn render_orders_by_censored() {
         let mut p = PortStats::new();
         for _ in 0..5 {
-            p.ingest(&rec(443, true).as_view());
+            feed(&mut p, &[rec(443, true)]);
         }
-        p.ingest(&rec(80, true).as_view());
+        feed(&mut p, &[rec(80, true)]);
         let s = p.render();
         let pos443 = s.find("443").unwrap();
         // Port 80 appears after 443 in censored ordering; find the row start.

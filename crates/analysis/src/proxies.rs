@@ -12,7 +12,7 @@ use std::collections::HashMap;
 /// Per-proxy traffic and censored-domain accumulators.
 ///
 /// Domain and category-label keys are interned into one shared string
-/// table ([`Sym`] keys); [`ProxyStats::merge`] remaps the absorbed shard's
+/// table ([`Sym`] keys); its `merge` remaps the absorbed shard's
 /// symbols, and renders resolve back to strings before sorting.
 #[derive(Debug)]
 pub struct ProxyStats {
@@ -48,11 +48,6 @@ impl ProxyStats {
         }
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     /// The base domain is derived here, for censored records of one day
     /// only, rather than read from a column computed for every record.
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
@@ -66,23 +61,6 @@ impl ProxyStats {
             if record.timestamp.date() == self.similarity_day {
                 let sym = self.interner.intern(&base_domain_of(record.url.host));
                 *self.censored_domains[i].entry(sym).or_insert(0) += 1;
-            }
-        }
-    }
-
-    /// Merge a shard, remapping its symbols into this table.
-    pub fn merge(&mut self, other: ProxyStats) {
-        let remap = self.interner.absorb_remap(&other.interner);
-        for i in 0..7 {
-            self.load[i].merge(&other.load[i]);
-            self.censored_load[i].merge(&other.censored_load[i]);
-            for (k, v) in &other.censored_domains[i] {
-                *self.censored_domains[i]
-                    .entry(remap[k.index()])
-                    .or_insert(0) += v;
-            }
-            for (k, v) in &other.category_labels[i] {
-                *self.category_labels[i].entry(remap[k.index()]).or_insert(0) += v;
             }
         }
     }
@@ -210,14 +188,6 @@ impl Default for ProxyStats {
 }
 
 impl crate::registry::Analysis for ProxyStats {
-    fn key(&self) -> &'static str {
-        "proxies"
-    }
-
-    fn title(&self) -> &'static str {
-        "Per-proxy load and similarity"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -230,7 +200,24 @@ impl crate::registry::Analysis for ProxyStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        ProxyStats::merge(self, crate::registry::downcast(other));
+        let other: ProxyStats = crate::registry::downcast(other);
+        let remap = self.interner.absorb_remap(&other.interner);
+        for i in 0..7 {
+            self.load[i].merge(&other.load[i]);
+            self.censored_load[i].merge(&other.censored_load[i]);
+            for (k, v) in &other.censored_domains[i] {
+                *self.censored_domains[i]
+                    .entry(remap[k.index()])
+                    .or_insert(0) += v;
+            }
+            for (k, v) in &other.category_labels[i] {
+                *self.category_labels[i].entry(remap[k.index()]).or_insert(0) += v;
+            }
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored_load.iter().map(|series| series.total()).sum()
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -304,6 +291,7 @@ impl crate::registry::Analysis for ProxyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed;
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
 
@@ -324,9 +312,14 @@ mod tests {
     fn similarity_reflects_domain_overlap() {
         let mut s = ProxyStats::standard();
         for _ in 0..10 {
-            s.ingest(&rec(ProxyId::Sg42, "skype.com", true, "2011-08-03").as_view());
-            s.ingest(&rec(ProxyId::Sg43, "skype.com", true, "2011-08-03").as_view());
-            s.ingest(&rec(ProxyId::Sg48, "metacafe.com", true, "2011-08-03").as_view());
+            feed(
+                &mut s,
+                &[
+                    rec(ProxyId::Sg42, "skype.com", true, "2011-08-03"),
+                    rec(ProxyId::Sg43, "skype.com", true, "2011-08-03"),
+                    rec(ProxyId::Sg48, "metacafe.com", true, "2011-08-03"),
+                ],
+            );
         }
         let m = s.cosine_matrix();
         assert!(m[0][1] > 0.99, "SG-42/43 should match: {}", m[0][1]);
@@ -337,7 +330,7 @@ mod tests {
     #[test]
     fn similarity_ignores_other_days() {
         let mut s = ProxyStats::standard();
-        s.ingest(&rec(ProxyId::Sg42, "a.com", true, "2011-08-04").as_view());
+        feed(&mut s, &[rec(ProxyId::Sg42, "a.com", true, "2011-08-04")]);
         assert_eq!(s.censored_domain_vector_len(ProxyId::Sg42), 0);
         // But the load window does include Aug 4.
         assert_eq!(s.censored_load[0].total(), 1);
@@ -347,7 +340,7 @@ mod tests {
     fn shares_sum_to_one() {
         let mut s = ProxyStats::standard();
         for p in ProxyId::ALL {
-            s.ingest(&rec(p, "x.com", false, "2011-08-03").as_view());
+            feed(&mut s, &[rec(p, "x.com", false, "2011-08-03")]);
         }
         let sum: f64 = ProxyId::ALL.iter().map(|p| s.load_share(*p)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -356,8 +349,13 @@ mod tests {
     #[test]
     fn category_labels_tracked_per_proxy() {
         let mut s = ProxyStats::standard();
-        s.ingest(&rec(ProxyId::Sg48, "x.com", false, "2011-08-03").as_view());
-        s.ingest(&rec(ProxyId::Sg42, "x.com", false, "2011-08-03").as_view());
+        feed(
+            &mut s,
+            &[
+                rec(ProxyId::Sg48, "x.com", false, "2011-08-03"),
+                rec(ProxyId::Sg42, "x.com", false, "2011-08-03"),
+            ],
+        );
         // RecordBuilder default category is "unavailable".
         assert_eq!(s.category_label_count(ProxyId::Sg48, "unavailable"), 1);
         let rendered = s.render_category_labels();
@@ -367,7 +365,10 @@ mod tests {
     #[test]
     fn renders() {
         let mut s = ProxyStats::standard();
-        s.ingest(&rec(ProxyId::Sg44, "tor-ish.com", true, "2011-08-03").as_view());
+        feed(
+            &mut s,
+            &[rec(ProxyId::Sg44, "tor-ish.com", true, "2011-08-03")],
+        );
         assert!(s.render_table6().contains("SG-44"));
         assert!(s.render_fig7().contains("SG-48"));
     }

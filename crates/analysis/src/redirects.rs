@@ -36,61 +36,6 @@ impl RedirectStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    ///
-    /// Follow-up matching assumes records arrive in roughly time order per
-    /// client (true of proxy logs); a later pass is not required.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        let client = match record.client {
-            ClientId::Hashed(h) => Some(h),
-            _ => None,
-        };
-        if record.exception == ExceptionId::PolicyRedirect.as_str() {
-            self.hosts.bump(record.url.host.to_string());
-            if let Some(h) = client {
-                self.identified_redirects += 1;
-                self.pending
-                    .entry(h)
-                    .or_default()
-                    .push(record.timestamp.epoch_seconds());
-            }
-            return;
-        }
-        // Any non-redirect request from a client with pending redirects may
-        // be the secondary fetch.
-        if let Some(h) = client {
-            if let Some(times) = self.pending.get_mut(&h) {
-                let now = record.timestamp.epoch_seconds();
-                let mut hits = 0u64;
-                times.retain(|t| {
-                    if now >= *t && now - *t <= FOLLOW_UP_WINDOW_SECS {
-                        hits += 1; // matched: the secondary request arrived
-                        false
-                    } else {
-                        // Drop expired windows; keep future-dated entries
-                        // (records can be mildly out of order).
-                        now < *t
-                    }
-                });
-                self.followed_up += hits;
-                if times.is_empty() {
-                    self.pending.remove(&h);
-                }
-            }
-        }
-    }
-
-    /// Merge a shard. Follow-up matching is within-shard (a redirect and its
-    /// 2-second follow-up land in the same day shard by construction).
-    pub fn merge(&mut self, other: RedirectStats) {
-        self.hosts.merge(other.hosts);
-        self.identified_redirects += other.identified_redirects;
-        self.followed_up += other.followed_up;
-        for (k, v) in other.pending {
-            self.pending.entry(k).or_default().extend(v);
-        }
-    }
-
     /// Number of distinct redirected hosts (the paper found 11).
     pub fn distinct_hosts(&self) -> usize {
         self.hosts.distinct()
@@ -118,27 +63,69 @@ impl RedirectStats {
 }
 
 impl crate::registry::Analysis for RedirectStats {
-    fn key(&self) -> &'static str {
-        "redirects"
-    }
-
-    fn title(&self) -> &'static str {
-        "Policy redirects"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
         block: &[RecordView<'_>],
         _derived: &crate::Derived<'_>,
     ) {
+        // Follow-up matching assumes records arrive in roughly time order
+        // per client (true of proxy logs); a later pass is not required.
         for record in block {
-            RedirectStats::ingest(self, record);
+            let client = match record.client {
+                ClientId::Hashed(h) => Some(h),
+                _ => None,
+            };
+            if record.exception == ExceptionId::PolicyRedirect.as_str() {
+                self.hosts.bump(record.url.host.to_string());
+                if let Some(h) = client {
+                    self.identified_redirects += 1;
+                    self.pending
+                        .entry(h)
+                        .or_default()
+                        .push(record.timestamp.epoch_seconds());
+                }
+                continue;
+            }
+            // Any non-redirect request from a client with pending redirects
+            // may be the secondary fetch.
+            let Some(h) = client else { continue };
+            let Some(times) = self.pending.get_mut(&h) else {
+                continue;
+            };
+            let now = record.timestamp.epoch_seconds();
+            let mut hits = 0u64;
+            times.retain(|t| {
+                if now >= *t && now - *t <= FOLLOW_UP_WINDOW_SECS {
+                    hits += 1; // matched: the secondary request arrived
+                    false
+                } else {
+                    // Drop expired windows; keep future-dated entries
+                    // (records can be mildly out of order).
+                    now < *t
+                }
+            });
+            self.followed_up += hits;
+            if times.is_empty() {
+                self.pending.remove(&h);
+            }
         }
     }
 
+    /// Follow-up matching is within-shard (a redirect and its 2-second
+    /// follow-up land in the same day shard by construction).
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        RedirectStats::merge(self, crate::registry::downcast(other));
+        let other: RedirectStats = crate::registry::downcast(other);
+        self.hosts.merge(other.hosts);
+        self.identified_redirects += other.identified_redirects;
+        self.followed_up += other.followed_up;
+        for (k, v) in other.pending {
+            self.pending.entry(k).or_default().extend(v);
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.identified_redirects
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -196,6 +183,7 @@ impl crate::registry::Analysis for RedirectStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -226,8 +214,10 @@ mod tests {
     #[test]
     fn counts_only_redirects_by_exact_host() {
         let mut r = RedirectStats::new();
-        r.ingest(&redirect_at("09:00:00", None).as_view());
-        r.ingest(&redirect_at("09:00:01", None).as_view());
+        feed(
+            &mut r,
+            &[redirect_at("09:00:00", None), redirect_at("09:00:01", None)],
+        );
         let denied = RecordBuilder::new(
             Timestamp::parse_fields("2011-07-22", "09:00:02").unwrap(),
             ProxyId::Sg42,
@@ -235,7 +225,7 @@ mod tests {
         )
         .policy_denied()
         .build();
-        r.ingest(&denied.as_view());
+        feed(&mut r, &[denied]);
         assert_eq!(r.hosts.get("upload.youtube.com"), 2);
         assert_eq!(r.distinct_hosts(), 1);
         assert!(r.render().contains("upload.youtube.com"));
@@ -244,8 +234,10 @@ mod tests {
     #[test]
     fn follow_up_within_window_is_detected() {
         let mut r = RedirectStats::new();
-        r.ingest(&redirect_at("09:00:00", Some(7)).as_view());
-        r.ingest(&plain_at("09:00:01", 7).as_view());
+        feed(
+            &mut r,
+            &[redirect_at("09:00:00", Some(7)), plain_at("09:00:01", 7)],
+        );
         assert_eq!(r.identified_redirects, 1);
         assert_eq!(r.followed_up, 1);
     }
@@ -253,11 +245,11 @@ mod tests {
     #[test]
     fn follow_up_outside_window_or_other_client_is_not() {
         let mut r = RedirectStats::new();
-        r.ingest(&redirect_at("09:00:00", Some(7)).as_view());
+        feed(&mut r, &[redirect_at("09:00:00", Some(7))]);
         // Different client: no match.
-        r.ingest(&plain_at("09:00:01", 8).as_view());
+        feed(&mut r, &[plain_at("09:00:01", 8)]);
         // Same client, too late.
-        r.ingest(&plain_at("09:00:09", 7).as_view());
+        feed(&mut r, &[plain_at("09:00:09", 7)]);
         assert_eq!(r.identified_redirects, 1);
         assert_eq!(r.followed_up, 0);
     }
@@ -265,7 +257,7 @@ mod tests {
     #[test]
     fn zeroed_clients_cannot_be_tracked() {
         let mut r = RedirectStats::new();
-        r.ingest(&redirect_at("09:00:00", None).as_view()); // zeroed client
+        feed(&mut r, &[redirect_at("09:00:00", None)]); // zeroed client
         assert_eq!(r.identified_redirects, 0);
         // Table 7 still counts the host.
         assert_eq!(r.hosts.total(), 1);
@@ -274,11 +266,13 @@ mod tests {
     #[test]
     fn merge_combines_counts() {
         let mut a = RedirectStats::new();
-        a.ingest(&redirect_at("09:00:00", Some(1)).as_view());
-        a.ingest(&plain_at("09:00:01", 1).as_view());
+        feed(
+            &mut a,
+            &[redirect_at("09:00:00", Some(1)), plain_at("09:00:01", 1)],
+        );
         let mut b = RedirectStats::new();
-        b.ingest(&redirect_at("10:00:00", Some(2)).as_view());
-        a.merge(b);
+        feed(&mut b, &[redirect_at("10:00:00", Some(2))]);
+        a.merge(Box::new(b));
         assert_eq!(a.identified_redirects, 2);
         assert_eq!(a.followed_up, 1);
         assert_eq!(a.hosts.total(), 2);

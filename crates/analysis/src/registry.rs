@@ -2,13 +2,14 @@
 //!
 //! Every table and figure of the paper is an independent accumulator; this
 //! module is the single place that knows the full roster. Each accumulator
-//! implements [`Analysis`] (ingest / merge-by-downcast / render / export)
-//! and registers one [`AnalysisEntry`] in [`REGISTRY`], carrying its key,
-//! paper artifacts, cost class and constructor. Everything downstream —
-//! [`crate::AnalysisSuite`], the parallel shard merge, the JSON export, the
+//! is one struct with one [`Analysis`] impl (block ingest, merge, render,
+//! export, state save/load, headline scalar), and its [`AnalysisEntry`] row
+//! in [`REGISTRY`] is the only place its metadata lives: key, title, paper
+//! artifacts, cost class, derived columns, export rank, headline label and
+//! constructor. Everything downstream — [`crate::AnalysisSuite`], the
+//! parallel shard merge, the JSON export, the snapshot-log queries, the
 //! CLI's `--analyses`/`--skip` flags and its `analyses` listing — is driven
-//! off this one list, so adding an experiment is: implement the trait,
-//! append one entry.
+//! off this one list, so adding an analysis is one file plus one row.
 //!
 //! # Ordering rules
 //!
@@ -53,12 +54,6 @@ impl<T: Any> AsAny for T {
 /// functions of the accumulated state — never of intern order, map order or
 /// shard plan (see DESIGN.md §2c, resolve-before-sort).
 pub trait Analysis: AsAny + Send + Sync {
-    /// Stable selection key (`--analyses` vocabulary), unique per registry.
-    fn key(&self) -> &'static str;
-
-    /// Human-readable name for listings.
-    fn title(&self) -> &'static str;
-
     /// Feed a block of parsed record views together with its derived
     /// columns — at least the [`AnalysisEntry::columns`] this analysis
     /// declares. The only ingest entry: one virtual call per analysis per
@@ -71,9 +66,8 @@ pub trait Analysis: AsAny + Send + Sync {
         derived: &Derived<'_>,
     );
 
-    /// Fold a sibling shard in. The shard must be the same concrete type;
-    /// implementations downcast via [`downcast`] and delegate to their
-    /// by-value inherent `merge`.
+    /// Fold a sibling shard in. The shard must be the same concrete type:
+    /// implementations unbox it with [`downcast`] on their first line.
     fn merge(&mut self, other: Box<dyn Analysis>);
 
     /// Render this analysis's report section(s), `'\n'`-separated in paper
@@ -100,15 +94,23 @@ pub trait Analysis: AsAny + Send + Sync {
     /// constructor restores fixed structure first); implementations read
     /// exactly the bytes they wrote and fail closed on anything else.
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> filterscope_core::Result<()>;
+
+    /// The headline scalar `history series` tracks for this analysis (what
+    /// it counts is [`AnalysisEntry::metric_label`]). Monotone
+    /// non-decreasing under ingest and merge, so per-window values are
+    /// differences of cumulative ones.
+    fn headline(&self) -> u64;
 }
 
 /// Unbox a merged-in shard as the concrete accumulator type, panicking on a
 /// type mismatch (shards of one suite are built from one selection, so a
 /// mismatch is a programming error, not a data error).
 pub fn downcast<T: Analysis>(other: Box<dyn Analysis>) -> T {
-    let key = other.key();
     *other.into_any().downcast::<T>().unwrap_or_else(|_| {
-        panic!("cannot merge analysis shard `{key}` into a different analysis type")
+        panic!(
+            "cannot merge an analysis shard of another type into `{}`",
+            std::any::type_name::<T>()
+        )
     })
 }
 
@@ -189,6 +191,8 @@ pub struct AnalysisEntry {
     pub export_rank: Option<u32>,
     /// The derived columns this analysis's ingest reads.
     pub columns: Columns,
+    /// What [`Analysis::headline`] counts, for `history series` headers.
+    pub metric_label: &'static str,
     make: fn(&SuiteParams) -> Box<dyn Analysis>,
 }
 
@@ -210,6 +214,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: None,
         columns: Columns::SAMPLE,
+        metric_label: "denied records",
         make: |_| Box::new(crate::datasets::DatasetCounts::new()),
     },
     AnalysisEntry {
@@ -220,6 +225,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(0),
         columns: Columns::SAMPLE,
+        metric_label: "denied rows",
         make: |_| Box::new(crate::overview::TrafficOverview::new()),
     },
     AnalysisEntry {
@@ -230,6 +236,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: None,
         columns: Columns::CLASS,
+        metric_label: "censored requests",
         make: |_| Box::new(crate::ports::PortStats::new()),
     },
     AnalysisEntry {
@@ -240,6 +247,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(1),
         columns: Columns::CLASS.with(Columns::BASE),
+        metric_label: "censored requests",
         make: |_| Box::new(crate::domains::DomainStats::new()),
     },
     AnalysisEntry {
@@ -250,6 +258,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(2),
         columns: Columns::CLASS,
+        metric_label: "censored requests",
         make: |_| Box::new(crate::categories::CategoryStats::new()),
     },
     AnalysisEntry {
@@ -260,6 +269,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(3),
         columns: Columns::CLASS,
+        metric_label: "censored users",
         make: |_| Box::new(crate::users::UserStats::new()),
     },
     AnalysisEntry {
@@ -270,6 +280,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: None,
         columns: Columns::CLASS,
+        metric_label: "censored requests",
         make: |_| Box::new(crate::temporal::TemporalStats::standard()),
     },
     AnalysisEntry {
@@ -280,6 +291,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(4),
         columns: Columns::CLASS,
+        metric_label: "censored requests",
         make: |_| Box::new(crate::proxies::ProxyStats::standard()),
     },
     AnalysisEntry {
@@ -290,6 +302,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(5),
         columns: Columns::NONE,
+        metric_label: "identified redirects",
         make: |_| Box::new(crate::redirects::RedirectStats::new()),
     },
     AnalysisEntry {
@@ -300,6 +313,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(6),
         columns: crate::filter_inference::FilterInference::COLUMNS,
+        metric_label: "censored requests",
         make: |p| {
             Box::new(crate::filter_inference::InferenceAnalysis::new(
                 p.inference_candidates,
@@ -315,6 +329,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(7),
         columns: Columns::CLASS,
+        metric_label: "censored (geolocated)",
         make: |_| Box::new(crate::ip_censorship::IpCensorship::standard()),
     },
     AnalysisEntry {
@@ -325,6 +340,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: None,
         columns: Columns::CLASS.with(Columns::BASE),
+        metric_label: "censored OSN requests",
         make: |_| Box::new(crate::social::SocialStats::new()),
     },
     AnalysisEntry {
@@ -335,6 +351,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(9),
         columns: Columns::CLASS,
+        metric_label: "censored Tor requests",
         make: |_| Box::new(crate::tor_usage::TorStats::standard()),
     },
     AnalysisEntry {
@@ -345,6 +362,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(11),
         columns: Columns::CLASS.with(Columns::SAMPLE),
+        metric_label: "anonymizer hosts",
         make: |_| Box::new(crate::anonymizers::AnonymizerStats::new()),
     },
     AnalysisEntry {
@@ -355,6 +373,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(10),
         columns: Columns::CLASS,
+        metric_label: "censored announces",
         make: |_| Box::new(crate::p2p::BitTorrentStats::new()),
     },
     AnalysisEntry {
@@ -365,6 +384,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(8),
         columns: Columns::CLASS,
+        metric_label: "censored HTTPS",
         make: |_| Box::new(crate::https::HttpsStats::new()),
     },
     AnalysisEntry {
@@ -375,6 +395,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: None,
         columns: Columns::CLASS,
+        metric_label: "censored cache hits",
         make: |_| Box::new(crate::google_cache::GoogleCacheStats::new()),
     },
     AnalysisEntry {
@@ -385,6 +406,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: true,
         export_rank: Some(12),
         columns: Columns::NONE,
+        metric_label: "anomalies",
         make: |_| Box::new(crate::consistency::ConsistencyStats::new()),
     },
     AnalysisEntry {
@@ -395,6 +417,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: false,
         export_rank: None,
         columns: crate::filter_inference::FilterInference::COLUMNS,
+        metric_label: "days observed",
         make: |p| {
             Box::new(crate::weather::WeatherReport::new(
                 p.min_support,
@@ -410,6 +433,7 @@ pub const REGISTRY: &[AnalysisEntry] = &[
         in_default_suite: false,
         export_rank: Some(13),
         columns: Columns::NONE,
+        metric_label: "mechanism votes",
         make: |_| Box::new(crate::filter_inference::MechanismInference::new()),
     },
 ];
@@ -549,25 +573,45 @@ fn unknown_key(key: &str) -> String {
     format!("unknown analysis `{key}` (known: {})", keys().join(", "))
 }
 
+/// Feed owned records to one analysis the way the suite does: one block,
+/// its derived columns computed once, under the standard context.
+/// Accumulator unit tests ingest through this (or [`feed_with`] when they
+/// need another context), so they run the production block path.
+#[cfg(test)]
+pub(crate) fn feed(analysis: &mut dyn Analysis, records: &[filterscope_logformat::LogRecord]) {
+    static CTX: std::sync::OnceLock<AnalysisContext> = std::sync::OnceLock::new();
+    feed_with(
+        CTX.get_or_init(|| AnalysisContext::standard(None)),
+        analysis,
+        records,
+    );
+}
+
+/// [`feed`] under a caller-built context.
+#[cfg(test)]
+pub(crate) fn feed_with(
+    ctx: &AnalysisContext,
+    analysis: &mut dyn Analysis,
+    records: &[filterscope_logformat::LogRecord],
+) {
+    let block: Vec<RecordView<'_>> = records.iter().map(|r| r.as_view()).collect();
+    let all = Columns::CLASS
+        .with(Columns::POLICY)
+        .with(Columns::SAMPLE)
+        .with(Columns::BASE);
+    analysis.ingest_block(ctx, &block, &Derived::compute(&block, all));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_keys_are_unique_and_consistent() {
-        let params = SuiteParams::new(3);
+    fn registry_keys_are_unique() {
         let mut seen = Vec::new();
         for e in REGISTRY {
             assert!(!seen.contains(&e.key), "duplicate key {}", e.key);
             seen.push(e.key);
-            let built = e.build(&params);
-            assert_eq!(built.key(), e.key, "entry/impl key drift for {}", e.key);
-            assert_eq!(
-                built.title(),
-                e.title,
-                "entry/impl title drift for {}",
-                e.key
-            );
         }
     }
 

@@ -223,19 +223,21 @@ mod tests {
     fn small_suite() -> AnalysisSuite {
         let ctx = AnalysisContext::standard(None);
         let mut suite = AnalysisSuite::new(1);
-        for i in 0..50u32 {
-            let b = RecordBuilder::new(
-                Timestamp::parse_fields("2011-08-03", "08:30:00").unwrap(),
-                ProxyId::from_index((i % 7) as usize).unwrap(),
-                RequestUrl::http(format!("h{}.example", i % 5), "/").with_port(80),
-            );
-            let r = if i % 10 == 0 {
-                b.policy_denied().build()
-            } else {
-                b.build()
-            };
-            suite.ingest(&ctx, &r.as_view());
-        }
+        let records: Vec<_> = (0..50u32)
+            .map(|i| {
+                let b = RecordBuilder::new(
+                    Timestamp::parse_fields("2011-08-03", "08:30:00").unwrap(),
+                    ProxyId::from_index((i % 7) as usize).unwrap(),
+                    RequestUrl::http(format!("h{}.example", i % 5), "/").with_port(80),
+                );
+                if i % 10 == 0 {
+                    b.policy_denied().build()
+                } else {
+                    b.build()
+                }
+            })
+            .collect();
+        suite.ingest_records(&ctx, &records);
         suite
     }
 

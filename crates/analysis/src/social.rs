@@ -3,7 +3,6 @@
 
 use crate::report::{count_pct, Table};
 use filterscope_core::{Interner, Sym};
-use filterscope_logformat::url::base_domain_of;
 use filterscope_logformat::{RecordView, RequestClass};
 use filterscope_stats::counter::top_n_by_count;
 use std::collections::HashMap;
@@ -70,7 +69,7 @@ impl ClassCounts {
 }
 
 /// Tables 13–15 accumulator. Page and plugin paths are interned ([`Sym`]);
-/// [`SocialStats::merge`] remaps the absorbed shard's symbols, and renders
+/// its `merge` remaps the absorbed shard's symbols, and renders
 /// resolve back to strings before sorting.
 #[derive(Debug, Default)]
 pub struct SocialStats {
@@ -120,15 +119,6 @@ impl SocialStats {
         Self::default()
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(
-            record,
-            RequestClass::of_view(record),
-            &base_domain_of(record.url.host),
-        );
-    }
-
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass, base: &str) {
         if let Some(panel) = OSN_PANEL.iter().find(|d| **d == base) {
             self.osn.entry(panel).or_default().add(class);
@@ -150,26 +140,6 @@ impl SocialStats {
                 }
             }
         }
-    }
-
-    /// Merge a shard, remapping its symbols into this table.
-    pub fn merge(&mut self, other: SocialStats) {
-        for (k, v) in other.osn {
-            self.osn.entry(k).or_default().merge(&v);
-        }
-        let remap = self.interner.absorb_remap(&other.interner);
-        for (k, (v, flag)) in other.fb_pages {
-            let e = self.fb_pages.entry(remap[k.index()]).or_default();
-            e.0.merge(&v);
-            e.1 |= flag;
-        }
-        for (k, v) in other.fb_plugins {
-            self.fb_plugins
-                .entry(remap[k.index()])
-                .or_default()
-                .merge(&v);
-        }
-        self.fb_total.merge(&other.fb_total);
     }
 
     /// Counts for one plugin element path, if seen.
@@ -293,14 +263,6 @@ impl SocialStats {
 }
 
 impl crate::registry::Analysis for SocialStats {
-    fn key(&self) -> &'static str {
-        "social"
-    }
-
-    fn title(&self) -> &'static str {
-        "Social-media censorship"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -313,7 +275,27 @@ impl crate::registry::Analysis for SocialStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        SocialStats::merge(self, crate::registry::downcast(other));
+        let other: SocialStats = crate::registry::downcast(other);
+        for (k, v) in other.osn {
+            self.osn.entry(k).or_default().merge(&v);
+        }
+        let remap = self.interner.absorb_remap(&other.interner);
+        for (k, (v, flag)) in other.fb_pages {
+            let e = self.fb_pages.entry(remap[k.index()]).or_default();
+            e.0.merge(&v);
+            e.1 |= flag;
+        }
+        for (k, v) in other.fb_plugins {
+            self.fb_plugins
+                .entry(remap[k.index()])
+                .or_default()
+                .merge(&v);
+        }
+        self.fb_total.merge(&other.fb_total);
+    }
+
+    fn headline(&self) -> u64 {
+        self.osn.values().map(|c| c.censored).sum()
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -410,6 +392,7 @@ impl crate::registry::Analysis for SocialStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -430,9 +413,14 @@ mod tests {
     #[test]
     fn osn_panel_counting() {
         let mut s = SocialStats::new();
-        s.ingest(&rec("www.badoo.com", "/", true).as_view());
-        s.ingest(&rec("twitter.com", "/home", false).as_view());
-        s.ingest(&rec("unrelated.com", "/", true).as_view());
+        feed(
+            &mut s,
+            &[
+                rec("www.badoo.com", "/", true),
+                rec("twitter.com", "/home", false),
+                rec("unrelated.com", "/", true),
+            ],
+        );
         assert_eq!(s.osn[&"badoo.com"].censored, 1);
         assert_eq!(s.osn[&"twitter.com"].allowed, 1);
         assert!(!s.osn.contains_key(&"unrelated.com"));
@@ -443,9 +431,14 @@ mod tests {
     #[test]
     fn plugin_paths_counted_with_denominator() {
         let mut s = SocialStats::new();
-        s.ingest(&rec("www.facebook.com", "/plugins/like.php", true).as_view());
-        s.ingest(&rec("www.facebook.com", "/extern/login_status.php", true).as_view());
-        s.ingest(&rec("www.facebook.com", "/home.php", false).as_view());
+        feed(
+            &mut s,
+            &[
+                rec("www.facebook.com", "/plugins/like.php", true),
+                rec("www.facebook.com", "/extern/login_status.php", true),
+                rec("www.facebook.com", "/home.php", false),
+            ],
+        );
         assert_eq!(s.fb_total.censored, 2);
         assert_eq!(s.fb_total.allowed, 1);
         assert_eq!(s.fb_plugin_counts("/plugins/like.php").unwrap().censored, 1);
@@ -475,11 +468,17 @@ mod tests {
         .categories("Blocked sites; unavailable")
         .policy_redirect()
         .build();
-        s.ingest(&blocked.as_view());
+        feed(&mut s, &[blocked]);
         // Allowed request to the same page with extended query.
-        s.ingest(&rec("www.facebook.com", "/Syrian.Revolution", false).as_view());
+        feed(
+            &mut s,
+            &[rec("www.facebook.com", "/Syrian.Revolution", false)],
+        );
         // An untargeted page never censored: excluded from Table 14.
-        s.ingest(&rec("www.facebook.com", "/ShaamNewsNetwork", false).as_view());
+        feed(
+            &mut s,
+            &[rec("www.facebook.com", "/ShaamNewsNetwork", false)],
+        );
         let rendered = s.render_table14();
         assert!(rendered.contains("Syrian.Revolution"));
         assert!(!rendered.contains("ShaamNewsNetwork"));
@@ -492,11 +491,16 @@ mod tests {
     #[test]
     fn merge_combines_everything() {
         let mut a = SocialStats::new();
-        a.ingest(&rec("badoo.com", "/", true).as_view());
+        feed(&mut a, &[rec("badoo.com", "/", true)]);
         let mut b = SocialStats::new();
-        b.ingest(&rec("badoo.com", "/", true).as_view());
-        b.ingest(&rec("www.facebook.com", "/plugins/like.php", true).as_view());
-        a.merge(b);
+        feed(
+            &mut b,
+            &[
+                rec("badoo.com", "/", true),
+                rec("www.facebook.com", "/plugins/like.php", true),
+            ],
+        );
+        a.merge(Box::new(b));
         assert_eq!(a.osn[&"badoo.com"].censored, 2);
         assert_eq!(a.fb_total.censored, 1);
     }

@@ -24,21 +24,27 @@ use crate::p2p::BitTorrentStats;
 use crate::ports::PortStats;
 use crate::proxies::ProxyStats;
 use crate::redirects::RedirectStats;
-use crate::registry::{self, Analysis, Selection, SuiteParams};
+use crate::registry::{self, Analysis, AnalysisEntry, Selection, SuiteParams};
 use crate::social::SocialStats;
 use crate::temporal::TemporalStats;
 use crate::tor_usage::TorStats;
 use crate::users::UserStats;
 use crate::weather::WeatherReport;
 use filterscope_core::{ByteReader, ByteWriter};
-use filterscope_logformat::RecordView;
+use filterscope_logformat::{LogRecord, RecordView};
+use std::borrow::Borrow;
 
 /// Wire version of [`AnalysisSuite::save_bytes`] payloads.
 const SUITE_PAYLOAD_VERSION: u8 = 1;
 
+/// Records per block when [`AnalysisSuite::ingest_records`] views owned
+/// records: about what one 256 KiB read block of log lines holds.
+const RECORDS_PER_BLOCK: usize = 1024;
+
 /// The selected experiment accumulators, fed by one streaming pass.
 pub struct AnalysisSuite {
-    analyses: Vec<Box<dyn Analysis>>,
+    /// Each selected analysis beside its registry row, in paper order.
+    analyses: Vec<(&'static AnalysisEntry, Box<dyn Analysis>)>,
     params: SuiteParams,
     selection: Selection,
     /// Union of the selected entries' derived columns.
@@ -63,7 +69,7 @@ impl AnalysisSuite {
             .map(|key| registry::entry(key).expect("selection keys are registry-validated"))
             .collect();
         AnalysisSuite {
-            analyses: entries.iter().map(|e| e.build(params)).collect(),
+            analyses: entries.iter().map(|e| (*e, e.build(params))).collect(),
             params: *params,
             selection: selection.clone(),
             columns: entries
@@ -96,21 +102,19 @@ impl AnalysisSuite {
         &self.selection
     }
 
-    /// The built analyses, in paper order.
-    pub fn analyses(&self) -> &[Box<dyn Analysis>] {
-        &self.analyses
+    /// The built analyses beside their registry rows, in paper order.
+    pub fn analyses(&self) -> impl Iterator<Item = (&'static AnalysisEntry, &dyn Analysis)> {
+        self.analyses.iter().map(|(e, a)| (*e, &**a))
+    }
+
+    /// The selected analysis under `key`, if any.
+    pub fn analysis(&self, key: &str) -> Option<&dyn Analysis> {
+        self.analyses().find(|(e, _)| e.key == key).map(|(_, a)| a)
     }
 
     /// The selected keys, in paper order.
     pub fn keys(&self) -> Vec<&'static str> {
-        self.analyses.iter().map(|a| a.key()).collect()
-    }
-
-    /// Ingest one record view into every selected analysis: a one-record
-    /// [`AnalysisSuite::ingest_block`]. Owned records bridge in via
-    /// [`filterscope_logformat::LogRecord::as_view`].
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.ingest_block(ctx, std::slice::from_ref(record));
+        self.analyses.iter().map(|(e, _)| e.key).collect()
     }
 
     /// Feed a whole block of records to every analysis. The block's derived
@@ -118,8 +122,29 @@ impl AnalysisSuite {
     /// then each analysis takes one virtual call per block.
     pub fn ingest_block(&mut self, ctx: &AnalysisContext, block: &[RecordView<'_>]) {
         let derived = Derived::compute(block, self.columns);
-        for analysis in &mut self.analyses {
+        for (_, analysis) in &mut self.analyses {
             analysis.ingest_block(ctx, block, &derived);
+        }
+    }
+
+    /// Feed owned records (synthesized or farm output, as a slice or a
+    /// stream) through [`AnalysisSuite::ingest_block`], viewed in blocks of
+    /// a fixed size.
+    pub fn ingest_records<R: Borrow<LogRecord>>(
+        &mut self,
+        ctx: &AnalysisContext,
+        records: impl IntoIterator<Item = R>,
+    ) {
+        let mut records = records.into_iter();
+        let mut chunk: Vec<R> = Vec::with_capacity(RECORDS_PER_BLOCK);
+        loop {
+            chunk.extend(records.by_ref().take(RECORDS_PER_BLOCK));
+            if chunk.is_empty() {
+                return;
+            }
+            let block: Vec<RecordView<'_>> = chunk.iter().map(|r| r.borrow().as_view()).collect();
+            self.ingest_block(ctx, &block);
+            chunk.clear();
         }
     }
 
@@ -130,7 +155,7 @@ impl AnalysisSuite {
             other.keys(),
             "cannot merge suites with different selections"
         );
-        for (mine, theirs) in self.analyses.iter_mut().zip(other.analyses) {
+        for ((_, mine), (_, theirs)) in self.analyses.iter_mut().zip(other.analyses) {
             mine.merge(theirs);
         }
     }
@@ -153,7 +178,7 @@ impl AnalysisSuite {
         for key in &keys {
             w.put_str(key);
         }
-        for analysis in &self.analyses {
+        for (_, analysis) in &self.analyses {
             let mut payload = ByteWriter::new();
             analysis.save_state(&mut payload);
             w.put_bytes(payload.as_slice());
@@ -196,7 +221,7 @@ impl AnalysisSuite {
             return Err(crate::state::corrupt("selection keys out of paper order"));
         }
         let mut suite = AnalysisSuite::with_selection(&params, &selection);
-        for analysis in &mut suite.analyses {
+        for (_, analysis) in &mut suite.analyses {
             let payload = r.get_bytes()?;
             let mut sub = ByteReader::new(payload);
             analysis.load_state(&mut sub)?;
@@ -209,7 +234,7 @@ impl AnalysisSuite {
     /// Render every selected table and figure, in paper order.
     pub fn render_all(&self, ctx: &AnalysisContext) -> String {
         let mut out = String::new();
-        for analysis in &self.analyses {
+        for (_, analysis) in &self.analyses {
             out.push_str(&analysis.render(ctx));
             out.push('\n');
         }
@@ -220,7 +245,7 @@ impl AnalysisSuite {
     pub fn try_get<T: Analysis>(&self) -> Option<&T> {
         self.analyses
             .iter()
-            .find_map(|a| a.as_any().downcast_ref::<T>())
+            .find_map(|(_, a)| a.as_any().downcast_ref::<T>())
     }
 
     fn get<T: Analysis>(&self, key: &str) -> &T {
@@ -335,20 +360,21 @@ mod tests {
     fn suite_ingests_and_renders_without_panic() {
         let ctx = AnalysisContext::standard(None);
         let mut suite = AnalysisSuite::new(1);
-        for i in 0..200u32 {
-            let censored = i % 50 == 0;
-            let b = RecordBuilder::new(
-                Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
-                ProxyId::from_index((i % 7) as usize).unwrap(),
-                RequestUrl::http(format!("host{}.example", i % 20), "/"),
-            );
-            let r = if censored {
-                b.policy_denied().build()
-            } else {
-                b.build()
-            };
-            suite.ingest(&ctx, &r.as_view());
-        }
+        let records: Vec<_> = (0..200u32)
+            .map(|i| {
+                let b = RecordBuilder::new(
+                    Timestamp::parse_fields("2011-08-03", "09:00:00").unwrap(),
+                    ProxyId::from_index((i % 7) as usize).unwrap(),
+                    RequestUrl::http(format!("host{}.example", i % 20), "/"),
+                );
+                if i % 50 == 0 {
+                    b.policy_denied().build()
+                } else {
+                    b.build()
+                }
+            })
+            .collect();
+        suite.ingest_records(&ctx, &records);
         let report = suite.render_all(&ctx);
         for needle in [
             "Table 1",
@@ -379,9 +405,7 @@ mod tests {
         )
         .build();
         for cycle in 0..3 {
-            for _ in 0..=cycle {
-                live.ingest(&ctx, &r.as_view());
-            }
+            live.ingest_records(&ctx, vec![r.clone(); cycle + 1]);
             let delta = live.take_delta();
             assert_eq!(delta.keys(), ["datasets", "https"]);
             global.merge(delta);
@@ -410,7 +434,7 @@ mod tests {
             RequestUrl::http("host.example", "/"),
         )
         .build();
-        suite.ingest(&ctx, &r.as_view());
+        suite.ingest_records(&ctx, &[r]);
         assert_eq!(suite.keys(), ["domains", "https"]);
         assert_eq!(suite.https().total_requests, 1);
         assert!(suite.try_get::<DatasetCounts>().is_none());
@@ -460,9 +484,7 @@ mod tests {
         let ctx = AnalysisContext::standard(None);
         let mut suite =
             AnalysisSuite::with_selection(&SuiteParams::new(2), &Selection::everything());
-        for i in 0..300 {
-            suite.ingest(&ctx, &varied_record(i).as_view());
-        }
+        suite.ingest_records(&ctx, (0..300).map(varied_record));
         let bytes = suite.save_bytes();
         let loaded = AnalysisSuite::load_bytes(&bytes).unwrap();
         assert_eq!(loaded.keys(), suite.keys());
@@ -483,10 +505,11 @@ mod tests {
         let mut live = AnalysisSuite::with_selection(&params, &selection);
         let mut frames: Vec<Vec<u8>> = Vec::new();
         for cycle in 0..4u32 {
-            for i in cycle * 100..(cycle + 1) * 100 {
-                straight.ingest(&ctx, &varied_record(i).as_view());
-                live.ingest(&ctx, &varied_record(i).as_view());
-            }
+            let records: Vec<_> = (cycle * 100..(cycle + 1) * 100)
+                .map(varied_record)
+                .collect();
+            straight.ingest_records(&ctx, &records);
+            live.ingest_records(&ctx, &records);
             frames.push(live.take_delta().save_bytes());
         }
         let mut folded = AnalysisSuite::load_bytes(&frames[0]).unwrap();
@@ -494,12 +517,12 @@ mod tests {
             folded.merge(AnalysisSuite::load_bytes(frame).unwrap());
         }
         assert_eq!(folded.save_bytes(), straight.save_bytes());
-        for (a, b) in folded.analyses().iter().zip(straight.analyses()) {
+        for ((entry, a), (_, b)) in folded.analyses().zip(straight.analyses()) {
             assert_eq!(
                 a.render(&ctx),
                 b.render(&ctx),
                 "analysis `{}` diverges after fold",
-                a.key()
+                entry.key
             );
         }
     }

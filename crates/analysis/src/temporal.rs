@@ -48,11 +48,6 @@ impl TemporalStats {
         )
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     /// The base domain is derived here, for censored records of one day
     /// only, rather than read from a column computed for every record.
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
@@ -68,16 +63,6 @@ impl TemporalStats {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: TemporalStats) {
-        self.allowed.merge(&other.allowed);
-        self.censored.merge(&other.censored);
-        self.all.merge(&other.all);
-        for (mine, theirs) in self.peak_windows.iter_mut().zip(other.peak_windows) {
-            mine.merge(theirs);
         }
     }
 
@@ -240,14 +225,6 @@ impl TemporalStats {
 }
 
 impl crate::registry::Analysis for TemporalStats {
-    fn key(&self) -> &'static str {
-        "temporal"
-    }
-
-    fn title(&self) -> &'static str {
-        "Censorship time series"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -260,7 +237,17 @@ impl crate::registry::Analysis for TemporalStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        TemporalStats::merge(self, crate::registry::downcast(other));
+        let other: TemporalStats = crate::registry::downcast(other);
+        self.allowed.merge(&other.allowed);
+        self.censored.merge(&other.censored);
+        self.all.merge(&other.all);
+        for (mine, theirs) in self.peak_windows.iter_mut().zip(other.peak_windows) {
+            mine.merge(theirs);
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored.total()
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -302,6 +289,7 @@ impl crate::registry::Analysis for TemporalStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::ProxyId;
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -322,8 +310,13 @@ mod tests {
     #[test]
     fn series_bin_assignment() {
         let mut t = TemporalStats::standard();
-        t.ingest(&rec("2011-08-01", "00:02:00", "a.com", false).as_view());
-        t.ingest(&rec("2011-08-01", "00:02:30", "b.com", true).as_view());
+        feed(
+            &mut t,
+            &[
+                rec("2011-08-01", "00:02:00", "a.com", false),
+                rec("2011-08-01", "00:02:30", "b.com", true),
+            ],
+        );
         assert_eq!(t.allowed.bins()[0], 1);
         assert_eq!(t.censored.bins()[0], 1);
         assert_eq!(t.all.bins()[0], 2);
@@ -334,10 +327,15 @@ mod tests {
     #[test]
     fn peak_windows_capture_peak_day_only() {
         let mut t = TemporalStats::standard();
-        t.ingest(&rec("2011-08-03", "08:30:00", "skype.com", true).as_view());
-        t.ingest(&rec("2011-08-03", "09:59:59", "skype.com", true).as_view());
-        t.ingest(&rec("2011-08-02", "08:30:00", "skype.com", true).as_view()); // not peak day
-        t.ingest(&rec("2011-08-03", "08:30:00", "ok.com", false).as_view()); // not censored
+        feed(
+            &mut t,
+            &[
+                rec("2011-08-03", "08:30:00", "skype.com", true),
+                rec("2011-08-03", "09:59:59", "skype.com", true),
+                rec("2011-08-02", "08:30:00", "skype.com", true),
+            ],
+        ); // not peak day
+        feed(&mut t, &[rec("2011-08-03", "08:30:00", "ok.com", false)]); // not censored
         assert_eq!(t.peak_top_domains(8, 5), vec![("skype.com".to_string(), 2)]);
         assert!(t.peak_top_domains(6, 5).is_empty());
     }
@@ -346,9 +344,9 @@ mod tests {
     fn censored_peak_location() {
         let mut t = TemporalStats::standard();
         for _ in 0..5 {
-            t.ingest(&rec("2011-08-03", "08:10:00", "x.com", true).as_view());
+            feed(&mut t, &[rec("2011-08-03", "08:10:00", "x.com", true)]);
         }
-        t.ingest(&rec("2011-08-02", "10:00:00", "x.com", true).as_view());
+        feed(&mut t, &[rec("2011-08-02", "10:00:00", "x.com", true)]);
         let (when, count) = t.censored_peak().unwrap();
         assert_eq!(count, 5);
         assert_eq!(when.date().to_string(), "2011-08-03");
@@ -358,8 +356,13 @@ mod tests {
     #[test]
     fn renders() {
         let mut t = TemporalStats::standard();
-        t.ingest(&rec("2011-08-03", "08:30:00", "skype.com", true).as_view());
-        t.ingest(&rec("2011-08-03", "08:31:00", "ok.com", false).as_view());
+        feed(
+            &mut t,
+            &[
+                rec("2011-08-03", "08:30:00", "skype.com", true),
+                rec("2011-08-03", "08:31:00", "ok.com", false),
+            ],
+        );
         assert!(t.render_fig5().contains("Fig 5"));
         assert!(t.render_fig6().contains("08:00"));
         assert!(t.render_table5().contains("skype.com"));
@@ -374,7 +377,10 @@ mod tests {
             let in_dip = (50..60).contains(&minute);
             let n = if in_dip { 1 } else { 12 };
             for k in 0..n {
-                t.ingest(&rec("2011-08-02", &ts_str, &format!("h{k}.example"), false).as_view());
+                feed(
+                    &mut t,
+                    &[rec("2011-08-02", &ts_str, &format!("h{k}.example"), false)],
+                );
             }
         }
         let dips = t.detect_dips(0.4);
@@ -391,10 +397,15 @@ mod tests {
     fn peak_im_share_attributes_peaks() {
         let mut t = TemporalStats::standard();
         for _ in 0..8 {
-            t.ingest(&rec("2011-08-03", "08:30:00", "skype.com", true).as_view());
+            feed(&mut t, &[rec("2011-08-03", "08:30:00", "skype.com", true)]);
         }
-        t.ingest(&rec("2011-08-03", "08:40:00", "live.com", true).as_view());
-        t.ingest(&rec("2011-08-03", "08:45:00", "metacafe.com", true).as_view());
+        feed(
+            &mut t,
+            &[
+                rec("2011-08-03", "08:40:00", "live.com", true),
+                rec("2011-08-03", "08:45:00", "metacafe.com", true),
+            ],
+        );
         let share = t.peak_im_share();
         assert!((share - 0.9).abs() < 1e-9, "share {share}");
     }
@@ -402,10 +413,10 @@ mod tests {
     #[test]
     fn merge_adds_series_and_windows() {
         let mut a = TemporalStats::standard();
-        a.ingest(&rec("2011-08-03", "08:30:00", "skype.com", true).as_view());
+        feed(&mut a, &[rec("2011-08-03", "08:30:00", "skype.com", true)]);
         let mut b = TemporalStats::standard();
-        b.ingest(&rec("2011-08-03", "08:40:00", "skype.com", true).as_view());
-        a.merge(b);
+        feed(&mut b, &[rec("2011-08-03", "08:40:00", "skype.com", true)]);
+        a.merge(Box::new(b));
         assert_eq!(a.censored.total(), 2);
         assert_eq!(a.peak_top_domains(8, 1)[0].1, 2);
     }

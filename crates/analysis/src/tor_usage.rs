@@ -59,11 +59,6 @@ impl TorStats {
         }
     }
 
-    /// Ingest one record.
-    pub fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
-        self.add(ctx, record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>, class: RequestClass) {
         // Fig. 8b needs SG-44's overall profile regardless of Tor-ness.
         if record.proxy() == Some(ProxyId::Sg44) {
@@ -103,26 +98,6 @@ impl TorStats {
                     .or_default()
                     .insert(u32::from(ip));
             }
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: TorStats) {
-        self.hourly.merge(&other.hourly);
-        self.hourly_censored.merge(&other.hourly_censored);
-        self.sg44_censored.merge(&other.sg44_censored);
-        self.sg44_all.merge(&other.sg44_all);
-        self.censored_relays.extend(other.censored_relays);
-        for (k, v) in other.allowed_relays_per_hour {
-            self.allowed_relays_per_hour.entry(k).or_default().extend(v);
-        }
-        self.total += other.total;
-        self.http_signaling += other.http_signaling;
-        self.censored += other.censored;
-        self.tcp_errors += other.tcp_errors;
-        self.relays_seen.extend(other.relays_seen);
-        for i in 0..7 {
-            self.censored_by_proxy[i] += other.censored_by_proxy[i];
         }
     }
 
@@ -205,14 +180,6 @@ impl Default for TorStats {
 }
 
 impl crate::registry::Analysis for TorStats {
-    fn key(&self) -> &'static str {
-        "tor"
-    }
-
-    fn title(&self) -> &'static str {
-        "Tor usage and blocking"
-    }
-
     fn ingest_block(
         &mut self,
         ctx: &crate::AnalysisContext,
@@ -225,7 +192,27 @@ impl crate::registry::Analysis for TorStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        TorStats::merge(self, crate::registry::downcast(other));
+        let other: TorStats = crate::registry::downcast(other);
+        self.hourly.merge(&other.hourly);
+        self.hourly_censored.merge(&other.hourly_censored);
+        self.sg44_censored.merge(&other.sg44_censored);
+        self.sg44_all.merge(&other.sg44_all);
+        self.censored_relays.extend(other.censored_relays);
+        for (k, v) in other.allowed_relays_per_hour {
+            self.allowed_relays_per_hour.entry(k).or_default().extend(v);
+        }
+        self.total += other.total;
+        self.http_signaling += other.http_signaling;
+        self.censored += other.censored;
+        self.tcp_errors += other.tcp_errors;
+        self.relays_seen.extend(other.relays_seen);
+        for i in 0..7 {
+            self.censored_by_proxy[i] += other.censored_by_proxy[i];
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored
     }
 
     fn render(&self, _ctx: &AnalysisContext) -> String {
@@ -309,6 +296,7 @@ impl crate::registry::Analysis for TorStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::feed_with;
     use filterscope_core::ProxyId;
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -359,26 +347,26 @@ mod tests {
     fn identifies_and_splits_tor_traffic() {
         let (ctx, addr) = ctx_with_relay();
         let mut s = TorStats::standard();
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(
-                addr,
-                9030,
-                "/tor/server/all.z",
-                ProxyId::Sg42,
-                "10:00:00",
-                false,
-            )
-            .as_view(),
-        );
-        s.ingest(
-            &ctx,
-            &tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:05:00", true).as_view(),
+            &mut s,
+            &[
+                tor_rec(
+                    addr,
+                    9030,
+                    "/tor/server/all.z",
+                    ProxyId::Sg42,
+                    "10:00:00",
+                    false,
+                ),
+                tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:05:00", true),
+            ],
         );
         // Wrong port: not Tor.
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(addr, 8080, "/", ProxyId::Sg42, "10:06:00", false).as_view(),
+            &mut s,
+            &[tor_rec(addr, 8080, "/", ProxyId::Sg42, "10:06:00", false)],
         );
         assert_eq!(s.total, 2);
         assert_eq!(s.http_signaling, 1);
@@ -392,14 +380,16 @@ mod tests {
         let (ctx, addr) = ctx_with_relay();
         let mut s = TorStats::standard();
         // Hour A (Aug 3, 10:00): relay censored.
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:00:00", true).as_view(),
+            &mut s,
+            &[tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:00:00", true)],
         );
         // Hour B (Aug 3, 12:00): same relay allowed.
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(addr, 9001, "/", ProxyId::Sg44, "12:00:00", false).as_view(),
+            &mut s,
+            &[tor_rec(addr, 9001, "/", ProxyId::Sg44, "12:00:00", false)],
         );
         let rf = s.rfilter();
         // Hour bin of Aug 3 12:00 relative to Aug 1 00:00 = 2*24 + 12 = 60.
@@ -425,7 +415,7 @@ mod tests {
         )
         .policy_denied()
         .build();
-        s.ingest(&ctx, &plain.as_view());
+        feed_with(&ctx, &mut s, &[plain]);
         assert_eq!(s.sg44_all.total(), 1);
         assert_eq!(s.sg44_censored.total(), 1);
         assert_eq!(s.total, 0, "not Tor traffic");
@@ -435,17 +425,17 @@ mod tests {
     fn without_relay_index_everything_is_non_tor() {
         let ctx = AnalysisContext::standard(None);
         let mut s = TorStats::standard();
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(
+            &mut s,
+            &[tor_rec(
                 Ipv4Addr::new(1, 2, 3, 4),
                 9001,
                 "/",
                 ProxyId::Sg42,
                 "10:00:00",
                 false,
-            )
-            .as_view(),
+            )],
         );
         assert_eq!(s.total, 0);
     }
@@ -454,9 +444,10 @@ mod tests {
     fn renders() {
         let (ctx, addr) = ctx_with_relay();
         let mut s = TorStats::standard();
-        s.ingest(
+        feed_with(
             &ctx,
-            &tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:00:00", true).as_view(),
+            &mut s,
+            &[tor_rec(addr, 9001, "/", ProxyId::Sg44, "10:00:00", true)],
         );
         let out = s.render();
         assert!(out.contains("Tor requests"));

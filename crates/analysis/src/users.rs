@@ -38,11 +38,6 @@ impl UserStats {
         Self::default()
     }
 
-    /// Ingest one record (ignores non-`Duser` records).
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.add(record, RequestClass::of_view(record));
-    }
-
     fn add(&mut self, record: &RecordView<'_>, class: RequestClass) {
         if !in_user_dataset(record) {
             return;
@@ -52,15 +47,6 @@ impl UserStats {
         c.total += 1;
         if class == RequestClass::Censored {
             c.censored += 1;
-        }
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: UserStats) {
-        for (k, v) in other.users {
-            let c = self.users.entry(k).or_default();
-            c.total += v.total;
-            c.censored += v.censored;
         }
     }
 
@@ -160,14 +146,6 @@ impl UserStats {
 }
 
 impl crate::registry::Analysis for UserStats {
-    fn key(&self) -> &'static str {
-        "users"
-    }
-
-    fn title(&self) -> &'static str {
-        "User behaviour"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
@@ -180,7 +158,16 @@ impl crate::registry::Analysis for UserStats {
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        UserStats::merge(self, crate::registry::downcast(other));
+        let other: UserStats = crate::registry::downcast(other);
+        for (k, v) in other.users {
+            let c = self.users.entry(k).or_default();
+            c.total += v.total;
+            c.censored += v.censored;
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.censored_user_count() as u64
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -209,7 +196,7 @@ impl crate::registry::Analysis for UserStats {
                 censored: r.get_u64()?,
             })
         })?;
-        self.merge(UserStats { users: loaded });
+        crate::registry::Analysis::merge(self, Box::new(UserStats { users: loaded }));
         Ok(())
     }
 
@@ -228,6 +215,7 @@ impl crate::registry::Analysis for UserStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{ClientId, LogRecord, RequestUrl};
@@ -250,10 +238,15 @@ mod tests {
     #[test]
     fn users_keyed_by_client_and_agent() {
         let mut s = UserStats::new();
-        s.ingest(&rec(1, "UA-A", false).as_view());
-        s.ingest(&rec(1, "UA-A", false).as_view());
-        s.ingest(&rec(1, "UA-B", false).as_view()); // same hash, different agent
-        s.ingest(&rec(2, "UA-A", false).as_view());
+        feed(
+            &mut s,
+            &[
+                rec(1, "UA-A", false),
+                rec(1, "UA-A", false),
+                rec(1, "UA-B", false),
+            ],
+        ); // same hash, different agent
+        feed(&mut s, &[rec(2, "UA-A", false)]);
         assert_eq!(s.user_count(), 3);
     }
 
@@ -266,7 +259,7 @@ mod tests {
             RequestUrl::http("x.com", "/"),
         )
         .build();
-        s.ingest(&r.as_view());
+        feed(&mut s, &[r]);
         assert_eq!(s.user_count(), 0);
     }
 
@@ -274,11 +267,11 @@ mod tests {
     fn censored_user_detection() {
         let mut s = UserStats::new();
         for _ in 0..10 {
-            s.ingest(&rec(1, "A", false).as_view());
+            feed(&mut s, &[rec(1, "A", false)]);
         }
-        s.ingest(&rec(1, "A", true).as_view());
+        feed(&mut s, &[rec(1, "A", true)]);
         for _ in 0..5 {
-            s.ingest(&rec(2, "A", false).as_view());
+            feed(&mut s, &[rec(2, "A", false)]);
         }
         assert_eq!(s.censored_user_count(), 1);
         assert!((s.censored_user_fraction() - 0.5).abs() < 1e-9);
@@ -291,12 +284,12 @@ mod tests {
         let mut s = UserStats::new();
         // Censored user with 150 requests.
         for _ in 0..150 {
-            s.ingest(&rec(1, "A", false).as_view());
+            feed(&mut s, &[rec(1, "A", false)]);
         }
-        s.ingest(&rec(1, "A", true).as_view());
+        feed(&mut s, &[rec(1, "A", true)]);
         // Clean user with 10 requests.
         for _ in 0..10 {
-            s.ingest(&rec(2, "A", false).as_view());
+            feed(&mut s, &[rec(2, "A", false)]);
         }
         let (ac, an) = s.active_fraction(100);
         assert_eq!(ac, 1.0);
@@ -308,10 +301,10 @@ mod tests {
     #[test]
     fn merge_sums_per_user() {
         let mut a = UserStats::new();
-        a.ingest(&rec(7, "A", false).as_view());
+        feed(&mut a, &[rec(7, "A", false)]);
         let mut b = UserStats::new();
-        b.ingest(&rec(7, "A", true).as_view());
-        a.merge(b);
+        feed(&mut b, &[rec(7, "A", true)]);
+        a.merge(Box::new(b));
         assert_eq!(a.user_count(), 1);
         assert_eq!(a.censored_user_count(), 1);
     }

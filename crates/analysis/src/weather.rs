@@ -59,40 +59,6 @@ impl WeatherReport {
         }
     }
 
-    /// Ingest one record into its day's inference.
-    pub fn ingest(&mut self, record: &RecordView<'_>) {
-        self.day(record).ingest(record);
-    }
-
-    /// Ingest a block whose `derived` holds [`FilterInference::COLUMNS`].
-    pub fn ingest_block(&mut self, block: &[RecordView<'_>], derived: &crate::Derived<'_>) {
-        for (i, record) in block.iter().enumerate() {
-            self.day(record)
-                .add(record, derived.class(i), derived.policy(i), derived.base(i));
-        }
-    }
-
-    fn day(&mut self, record: &RecordView<'_>) -> &mut FilterInference {
-        self.days
-            .entry(record.timestamp.date())
-            .or_insert_with(|| FilterInference::new(&[]))
-    }
-
-    /// Merge a shard.
-    pub fn merge(&mut self, other: WeatherReport) {
-        for (date, inference) in other.days {
-            match self.days.remove(&date) {
-                Some(mut mine) => {
-                    mine.merge(inference);
-                    self.days.insert(date, mine);
-                }
-                None => {
-                    self.days.insert(date, inference);
-                }
-            }
-        }
-    }
-
     /// The recovered policy per day, in date order.
     pub fn daily_policies(&self) -> Vec<DayPolicy> {
         self.days
@@ -180,25 +146,34 @@ impl WeatherReport {
 }
 
 impl crate::registry::Analysis for WeatherReport {
-    fn key(&self) -> &'static str {
-        "weather"
-    }
-
-    fn title(&self) -> &'static str {
-        "Censorship weather report"
-    }
-
     fn ingest_block(
         &mut self,
         _ctx: &crate::AnalysisContext,
         block: &[RecordView<'_>],
         derived: &crate::Derived<'_>,
     ) {
-        WeatherReport::ingest_block(self, block, derived);
+        for (i, record) in block.iter().enumerate() {
+            self.days
+                .entry(record.timestamp.date())
+                .or_insert_with(|| FilterInference::new(&[]))
+                .add(record, derived.class(i), derived.policy(i), derived.base(i));
+        }
     }
 
     fn merge(&mut self, other: Box<dyn crate::registry::Analysis>) {
-        WeatherReport::merge(self, crate::registry::downcast(other));
+        let other: WeatherReport = crate::registry::downcast(other);
+        for (date, inference) in other.days {
+            match self.days.get_mut(&date) {
+                Some(mine) => mine.merge(inference),
+                None => {
+                    self.days.insert(date, inference);
+                }
+            }
+        }
+    }
+
+    fn headline(&self) -> u64 {
+        self.days.len() as u64
     }
 
     fn render(&self, _ctx: &crate::AnalysisContext) -> String {
@@ -236,6 +211,7 @@ impl crate::registry::Analysis for WeatherReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{feed, Analysis};
     use filterscope_core::{ProxyId, Timestamp};
     use filterscope_logformat::record::RecordBuilder;
     use filterscope_logformat::{LogRecord, RequestUrl};
@@ -258,14 +234,24 @@ mod tests {
         let mut w = WeatherReport::new(5, 3);
         // Day 1: only metacafe blocked.
         for i in 0..10 {
-            w.ingest(&rec("2011-08-01", "metacafe.com", "/", true).as_view());
-            w.ingest(&rec("2011-08-01", &format!("ok{i}.com"), "/", false).as_view());
+            feed(
+                &mut w,
+                &[
+                    rec("2011-08-01", "metacafe.com", "/", true),
+                    rec("2011-08-01", &format!("ok{i}.com"), "/", false),
+                ],
+            );
         }
         // Day 2: metacafe still blocked AND a keyword appears across domains.
         for i in 0..10 {
-            w.ingest(&rec("2011-08-02", "metacafe.com", "/", true).as_view());
-            w.ingest(&rec("2011-08-02", &format!("a{}.com", i % 4), "/x/proxy", true).as_view());
-            w.ingest(&rec("2011-08-02", &format!("ok{i}.com"), "/", false).as_view());
+            feed(
+                &mut w,
+                &[
+                    rec("2011-08-02", "metacafe.com", "/", true),
+                    rec("2011-08-02", &format!("a{}.com", i % 4), "/x/proxy", true),
+                    rec("2011-08-02", &format!("ok{i}.com"), "/", false),
+                ],
+            );
         }
         let policies = w.daily_policies();
         assert_eq!(policies.len(), 2);
@@ -287,7 +273,7 @@ mod tests {
         let mut w = WeatherReport::new(3, 3);
         for day in ["2011-08-01", "2011-08-02"] {
             for _ in 0..5 {
-                w.ingest(&rec(day, "badoo.com", "/", true).as_view());
+                feed(&mut w, &[rec(day, "badoo.com", "/", true)]);
             }
         }
         let deltas = w.deltas();
@@ -301,11 +287,16 @@ mod tests {
         let mut a = WeatherReport::new(3, 3);
         let mut b = WeatherReport::new(3, 3);
         for _ in 0..3 {
-            a.ingest(&rec("2011-08-01", "badoo.com", "/", true).as_view());
-            b.ingest(&rec("2011-08-01", "badoo.com", "/", true).as_view());
-            b.ingest(&rec("2011-08-02", "netlog.com", "/", true).as_view());
+            feed(&mut a, &[rec("2011-08-01", "badoo.com", "/", true)]);
+            feed(
+                &mut b,
+                &[
+                    rec("2011-08-01", "badoo.com", "/", true),
+                    rec("2011-08-02", "netlog.com", "/", true),
+                ],
+            );
         }
-        a.merge(b);
+        a.merge(Box::new(b));
         let policies = a.daily_policies();
         assert_eq!(policies.len(), 2);
         // Day 1 support is 3+3=6 after merge.

@@ -9,8 +9,7 @@
 //!   only the tie band) and through the sort-everything-then-truncate
 //!   definition it replaces.
 
-use filterscope_analysis::domains::DomainStats;
-use filterscope_analysis::{Analysis, AnalysisContext};
+use filterscope_analysis::{AnalysisContext, AnalysisSuite, Selection, SuiteParams};
 use filterscope_bench::harness::{black_box, Harness};
 use filterscope_core::{Interner, ProxyId, Sym, Timestamp};
 use filterscope_logformat::record::RecordBuilder;
@@ -33,28 +32,30 @@ fn domain(rank: u64) -> String {
     format!("site{rank}.com")
 }
 
-fn domain_stats() -> DomainStats {
+/// A suite running only `domains`, fed every request of the distribution.
+fn domains_suite(ctx: &AnalysisContext) -> AnalysisSuite {
     let ts = Timestamp::parse_fields("2011-08-02", "09:00:00").expect("valid timestamp");
-    let mut stats = DomainStats::new();
-    for rank in 1..=DOMAINS {
+    let records = (1..=DOMAINS).flat_map(|rank| {
         let builder = RecordBuilder::new(ts, ProxyId::Sg42, RequestUrl::http(domain(rank), "/"));
         let record = if rank <= CENSORED {
             builder.policy_denied().build()
         } else {
             builder.build()
         };
-        for _ in 0..requests(rank) {
-            stats.ingest(&record.as_view());
-        }
-    }
-    stats
+        std::iter::repeat_n(record, requests(rank) as usize)
+    });
+    let mut suite =
+        AnalysisSuite::with_selection(&SuiteParams::new(1), &Selection::pinned("domains"));
+    suite.ingest_records(ctx, records);
+    suite
 }
 
 fn bench_readout(c: &mut Harness) {
     let mut g = c.benchmark_group("readout");
 
     let ctx = AnalysisContext::standard(None);
-    let stats = domain_stats();
+    let suite = domains_suite(&ctx);
+    let stats = suite.analysis("domains").expect("selected");
     g.bench_function("domains_render_export_75k", |b| {
         b.iter(|| black_box((stats.render(&ctx), stats.export_json(&ctx))))
     });

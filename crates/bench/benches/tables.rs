@@ -2,79 +2,58 @@
 //! analysis from the shared corpus (ingest where the table needs its own
 //! accumulator, or the final reduction where it reads a shared one).
 
-use filterscope_analysis::datasets::DatasetCounts;
-use filterscope_analysis::domains::DomainStats;
-use filterscope_analysis::filter_inference::FilterInference;
-use filterscope_analysis::ip_censorship::IpCensorship;
-use filterscope_analysis::overview::TrafficOverview;
-use filterscope_analysis::proxies::ProxyStats;
-use filterscope_analysis::redirects::RedirectStats;
-use filterscope_analysis::social::SocialStats;
-use filterscope_analysis::temporal::TemporalStats;
 use filterscope_bench::harness::{black_box, Harness};
-use filterscope_bench::{analyzed, corpus};
+use filterscope_bench::{analyze_only, analyzed, corpus};
 
 fn bench_tables(c: &mut Harness) {
-    let (records, ctx) = corpus();
+    let (_, ctx) = corpus();
     let suite = analyzed();
     let mut g = c.benchmark_group("tables");
 
     g.bench_function("table1_datasets", |b| {
         b.iter(|| {
-            let mut s = DatasetCounts::new();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("datasets");
+            let s = suite.datasets();
             black_box(s.render())
         })
     });
 
     g.bench_function("table3_overview", |b| {
         b.iter(|| {
-            let mut s = TrafficOverview::new();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("overview");
+            let s = suite.overview();
             black_box(s.render())
         })
     });
 
     g.bench_function("table4_top_domains", |b| {
         b.iter(|| {
-            let mut s = DomainStats::new();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("domains");
+            let s = suite.domains();
             black_box((s.top_allowed(10), s.top_censored(10)))
         })
     });
 
     g.bench_function("table5_peak_domains", |b| {
         b.iter(|| {
-            let mut s = TemporalStats::standard();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("temporal");
+            let s = suite.temporal();
             black_box(s.render_table5())
         })
     });
 
     g.bench_function("table6_proxy_similarity", |b| {
         b.iter(|| {
-            let mut s = ProxyStats::standard();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("proxies");
+            let s = suite.proxies();
             black_box(s.cosine_matrix())
         })
     });
 
     g.bench_function("table7_redirects", |b| {
         b.iter(|| {
-            let mut s = RedirectStats::new();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("redirects");
+            let s = suite.redirects();
             black_box(s.render())
         })
     });
@@ -82,10 +61,8 @@ fn bench_tables(c: &mut Harness) {
     g.bench_function("table8_suspected_domains", |b| {
         // The ingest phase dominates; the recovery reduction runs on top.
         b.iter(|| {
-            let mut s = FilterInference::new(&filterscope_proxy::config::KEYWORDS);
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("inference");
+            let s = suite.inference();
             black_box(s.recover_domains(3))
         })
     });
@@ -102,10 +79,8 @@ fn bench_tables(c: &mut Harness) {
 
     g.bench_function("table11_countries", |b| {
         b.iter(|| {
-            let mut s = IpCensorship::standard();
-            for r in records {
-                s.ingest(ctx, &r.as_view());
-            }
+            let suite = analyze_only("ip");
+            let s = suite.ip();
             black_box(s.censorship_ratios())
         })
     });
@@ -117,10 +92,8 @@ fn bench_tables(c: &mut Harness) {
 
     g.bench_function("tables13_15_social", |b| {
         b.iter(|| {
-            let mut s = SocialStats::new();
-            for r in records {
-                s.ingest(&r.as_view());
-            }
+            let suite = analyze_only("social");
+            let s = suite.social();
             black_box((s.render_table13(), s.render_table14(), s.render_table15()))
         })
     });

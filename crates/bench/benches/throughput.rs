@@ -213,7 +213,7 @@ fn bench_throughput(c: &mut Harness) {
             let corpus = Corpus::new(SynthConfig::new(1 << 20).expect("scale"));
             let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
             let mut suite = AnalysisSuite::new(2);
-            corpus.for_each_record(|r| suite.ingest(&ctx, &r.as_view()));
+            suite.ingest_records(&ctx, corpus.generate());
             black_box(suite.datasets().full)
         })
     });
@@ -318,7 +318,12 @@ fn bench_parallel_ingest(c: &mut Harness) {
         g.bench_function(&format!("analyze_suite_threads_{threads:02}"), |b| {
             b.iter(|| {
                 let (suite, stats) = ingest
-                    .ingest_suite(&paths, ctx, 2)
+                    .ingest_selected(
+                        &paths,
+                        ctx,
+                        &SuiteParams::new(2),
+                        &Selection::default_suite(),
+                    )
                     .expect("ingest corpus files");
                 assert_eq!(stats.records, records.len() as u64);
                 black_box(suite.datasets().full)
@@ -358,7 +363,7 @@ fn bench_selective_ingest(c: &mut Harness) {
                     .ingest_selected(&paths, ctx, &params, selection)
                     .expect("ingest corpus files");
                 assert_eq!(stats.records, records.len() as u64);
-                black_box(suite.analyses().len())
+                black_box(suite.keys().len())
             })
         });
     }
@@ -431,7 +436,12 @@ fn bench_stream_ingest(c: &mut Harness) {
     g.bench_function("file_shards_one_thread", |b| {
         b.iter(|| {
             let (suite, stats) = ingest
-                .ingest_suite(&paths, ctx, 2)
+                .ingest_selected(
+                    &paths,
+                    ctx,
+                    &SuiteParams::new(2),
+                    &Selection::default_suite(),
+                )
                 .expect("ingest corpus files");
             assert_eq!(stats.records, records.len() as u64);
             black_box(suite.datasets().full)

@@ -21,7 +21,7 @@
 
 pub mod harness;
 
-use filterscope_analysis::{AnalysisContext, AnalysisSuite};
+use filterscope_analysis::{AnalysisContext, AnalysisSuite, Selection, SuiteParams};
 use filterscope_logformat::LogRecord;
 use filterscope_synth::{Corpus, SynthConfig};
 use std::sync::OnceLock;
@@ -48,11 +48,18 @@ pub fn analyzed() -> &'static AnalysisSuite {
     SUITE.get_or_init(|| {
         let (records, ctx) = corpus();
         let mut suite = AnalysisSuite::new(2);
-        for r in records {
-            suite.ingest(ctx, &r.as_view());
-        }
+        suite.ingest_records(ctx, records);
         suite
     })
+}
+
+/// A fresh suite running only the analysis under `key`, fed the shared
+/// corpus through the block path (what a per-artifact bench measures).
+pub fn analyze_only(key: &'static str) -> AnalysisSuite {
+    let (records, ctx) = corpus();
+    let mut suite = AnalysisSuite::with_selection(&SuiteParams::new(2), &Selection::pinned(key));
+    suite.ingest_records(ctx, records);
+    suite
 }
 
 /// The corpus serialized to CSV lines (for parser benchmarks).

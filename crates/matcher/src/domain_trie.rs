@@ -32,8 +32,10 @@ impl Node {
 }
 
 /// An entry as the trie stores it: leading dots and one trailing dot
-/// dropped (`".il"`, `"il"` and `"il."` are one entry).
-fn normalize_entry(entry: &str) -> &str {
+/// dropped (`".il"`, `"il"` and `"il."` are one entry; labels are
+/// lowercased on insert). Only this function decides what an entry means,
+/// so the policy linter reasons about exactly what the engine matches.
+pub fn normalize_entry(entry: &str) -> &str {
     let entry = entry.trim_start_matches('.');
     entry.strip_suffix('.').unwrap_or(entry)
 }

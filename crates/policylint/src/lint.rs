@@ -7,19 +7,13 @@ use filterscope_proxy::config::FarmConfig;
 use filterscope_proxy::{PolicyData, RuleFamily};
 
 use filterscope_core::ProxyId;
+use filterscope_match::domain_trie::normalize_entry;
 use filterscope_match::{AcDfa, DomainTrie};
 use std::collections::HashMap;
 
 /// Normalize a keyword the way the (case-folding) keyword DFA sees it.
 fn norm_keyword(k: &str) -> String {
     k.to_ascii_lowercase()
-}
-
-/// Normalize a domain entry the way the trie stores it.
-fn norm_domain(d: &str) -> String {
-    d.trim_start_matches('.')
-        .trim_end_matches('.')
-        .to_ascii_lowercase()
 }
 
 fn finding(
@@ -95,7 +89,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
         }
     }
     for d in &policy.blocked_domains {
-        if norm_domain(d).is_empty() {
+        if normalize_entry(d).is_empty() {
             out.push(finding(
                 Severity::Error,
                 "empty-rule",
@@ -151,7 +145,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
         policy
             .blocked_domains
             .iter()
-            .map(|d| (norm_domain(d), d.as_str())),
+            .map(|d| (normalize_entry(d).to_ascii_lowercase(), d.as_str())),
         RuleFamily::Domains,
         |d| format!("domain {d:?}"),
         &mut out,
@@ -243,21 +237,19 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
     let mut trie = DomainTrie::new();
     let mut entry_names: Vec<String> = Vec::new();
     for d in &policy.blocked_domains {
-        let n = norm_domain(d);
-        if n.is_empty() {
+        if normalize_entry(d).is_empty() {
             continue;
         }
-        let ix = trie.insert(&n);
+        let ix = trie.insert(d);
         if ix as usize == entry_names.len() {
             entry_names.push(d.clone());
         }
     }
     for d in &policy.blocked_domains {
-        let n = norm_domain(d);
-        if n.is_empty() {
+        if normalize_entry(d).is_empty() {
             continue;
         }
-        if let Some(ix) = trie.shadowing_entry(&n) {
+        if let Some(ix) = trie.shadowing_entry(d) {
             out.push(finding(
                 Severity::Warning,
                 "domain-shadowed",
@@ -298,11 +290,11 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
     // covers carries the entry — hence the keyword — as a substring, and
     // the keyword tier evaluates first.
     for d in &policy.blocked_domains {
-        let n = norm_domain(d);
+        let n = normalize_entry(d);
         if n.is_empty() {
             continue;
         }
-        if let Some(i) = dfa.first_match(&n) {
+        if let Some(i) = dfa.first_match(n) {
             out.push(finding(
                 Severity::Warning,
                 "domain-dead",
@@ -550,6 +542,31 @@ mod tests {
         let dead = f.iter().find(|f| f.code == "domain-dead").unwrap();
         assert_eq!(dead.rule, "domain \"israelweather.co.il\"");
         assert!(dead.message.contains("\"israel\""));
+    }
+
+    #[test]
+    fn entries_mean_what_the_engine_matches() {
+        // The engine's trie drops one trailing dot, so `metacafe.com..`
+        // never fires on `metacafe.com` hosts and cannot shadow a subdomain
+        // rule; `metacafe.com.` is the bare entry and does.
+        use crate::finding::DecisionKind;
+        use filterscope_logformat::RequestUrl;
+        use filterscope_proxy::PolicyEngine;
+        let mut p = PolicyData::empty();
+        for (entry, fires) in [("metacafe.com..", false), ("metacafe.com.", true)] {
+            p.blocked_domains = vec![entry.into(), "share.metacafe.com".into()];
+            let engine = PolicyEngine::from_data(&p, None, 1);
+            let bare = engine.decide_url(&RequestUrl::http("metacafe.com", "/"));
+            assert_eq!(
+                DecisionKind::of(bare) == DecisionKind::Deny,
+                fires,
+                "{entry}"
+            );
+            let shadowed = lint_policy(&p)
+                .iter()
+                .any(|f| f.code == "domain-shadowed" && f.rule == "domain \"share.metacafe.com\"");
+            assert_eq!(shadowed, fires, "{entry}");
+        }
     }
 
     #[test]

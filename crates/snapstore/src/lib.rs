@@ -30,6 +30,6 @@ pub mod query;
 pub use frame::{Frame, FrameKind};
 pub use log::{read_frames, RecoveryReport, SnapLog};
 pub use query::{
-    decode_value, diff, encode_value, metric, metric_label, series, suite_at, DiffRow, FrameValue,
-    HistoryDiff, HistoryView, SeriesPoint, SUITE_KEY,
+    decode_value, diff, encode_value, metric, series, suite_at, DiffRow, FrameValue, HistoryDiff,
+    HistoryView, SeriesPoint, SUITE_KEY,
 };

@@ -7,26 +7,7 @@
 //! records, which the suite payload's byte-determinism lets tests assert
 //! exactly.
 
-use filterscope_analysis::anonymizers::AnonymizerStats;
-use filterscope_analysis::categories::CategoryStats;
-use filterscope_analysis::consistency::ConsistencyStats;
-use filterscope_analysis::datasets::DatasetCounts;
-use filterscope_analysis::domains::DomainStats;
-use filterscope_analysis::filter_inference::InferenceAnalysis;
-use filterscope_analysis::google_cache::GoogleCacheStats;
-use filterscope_analysis::https::HttpsStats;
-use filterscope_analysis::ip_censorship::IpCensorship;
-use filterscope_analysis::overview::TrafficOverview;
-use filterscope_analysis::p2p::BitTorrentStats;
-use filterscope_analysis::ports::PortStats;
-use filterscope_analysis::proxies::ProxyStats;
-use filterscope_analysis::redirects::RedirectStats;
-use filterscope_analysis::social::SocialStats;
-use filterscope_analysis::temporal::TemporalStats;
-use filterscope_analysis::tor_usage::TorStats;
-use filterscope_analysis::users::UserStats;
-use filterscope_analysis::weather::WeatherReport;
-use filterscope_analysis::{AnalysisSuite, MechanismInference};
+use filterscope_analysis::{registry, AnalysisSuite};
 use filterscope_core::{ByteReader, ByteWriter, Error, Result};
 
 use crate::frame::{Frame, FrameKind};
@@ -132,158 +113,24 @@ fn fold(view: Option<HistoryView>, kind: FrameKind, value: FrameValue, t: u64) -
     }
 }
 
-/// The headline scalar each registry analysis contributes to `series`.
+/// The headline scalar ([`filterscope_analysis::Analysis::headline`]) of
+/// the analysis under `key`, which `series` tracks; its registry row's
+/// `metric_label` says what it counts.
 ///
-/// Every metric is monotone non-decreasing under ingest, so per-window
+/// Every headline is monotone non-decreasing under ingest, so per-window
 /// values (differences of cumulative metrics) are well defined.
 pub fn metric(suite: &AnalysisSuite, key: &str) -> Result<u64> {
-    let missing = || {
+    if registry::entry(key).is_none() {
+        return Err(Error::InvalidConfig(format!(
+            "unknown analysis key `{key}`"
+        )));
+    }
+    let analysis = suite.analysis(key).ok_or_else(|| {
         Error::InvalidConfig(format!(
             "analysis `{key}` is not in the logged suite's selection"
         ))
-    };
-    let value = match key {
-        "datasets" => suite.try_get::<DatasetCounts>().ok_or_else(missing)?.denied,
-        "overview" => {
-            let o = &suite
-                .try_get::<TrafficOverview>()
-                .ok_or_else(missing)?
-                .denied_total;
-            o.full + o.sample + o.user + o.denied
-        }
-        "ports" => suite
-            .try_get::<PortStats>()
-            .ok_or_else(missing)?
-            .censored
-            .total(),
-        "domains" => suite
-            .try_get::<DomainStats>()
-            .ok_or_else(missing)?
-            .top_censored(usize::MAX)
-            .iter()
-            .map(|(_, n)| n)
-            .sum(),
-        "categories" => suite
-            .try_get::<CategoryStats>()
-            .ok_or_else(missing)?
-            .censored
-            .total(),
-        "users" => suite
-            .try_get::<UserStats>()
-            .ok_or_else(missing)?
-            .censored_user_count() as u64,
-        "temporal" => suite
-            .try_get::<TemporalStats>()
-            .ok_or_else(missing)?
-            .censored
-            .total(),
-        "proxies" => suite
-            .try_get::<ProxyStats>()
-            .ok_or_else(missing)?
-            .censored_load
-            .iter()
-            .map(|series| series.total())
-            .sum(),
-        "redirects" => {
-            suite
-                .try_get::<RedirectStats>()
-                .ok_or_else(missing)?
-                .identified_redirects
-        }
-        "inference" => suite
-            .try_get::<InferenceAnalysis>()
-            .ok_or_else(missing)?
-            .inner
-            .keyword_counts
-            .iter()
-            .map(|(censored, _, _)| censored)
-            .sum(),
-        "ip" => suite
-            .try_get::<IpCensorship>()
-            .ok_or_else(missing)?
-            .by_country
-            .values()
-            .map(|c| c.censored)
-            .sum(),
-        "social" => suite
-            .try_get::<SocialStats>()
-            .ok_or_else(missing)?
-            .osn
-            .values()
-            .map(|c| c.censored)
-            .sum(),
-        "tor" => suite.try_get::<TorStats>().ok_or_else(missing)?.censored,
-        "anonymizers" => suite
-            .try_get::<AnonymizerStats>()
-            .ok_or_else(missing)?
-            .host_count() as u64,
-        "bittorrent" => {
-            suite
-                .try_get::<BitTorrentStats>()
-                .ok_or_else(missing)?
-                .censored_announces
-        }
-        "https" => {
-            suite
-                .try_get::<HttpsStats>()
-                .ok_or_else(missing)?
-                .https_censored
-        }
-        "google_cache" => {
-            suite
-                .try_get::<GoogleCacheStats>()
-                .ok_or_else(missing)?
-                .censored
-        }
-        "consistency" => {
-            suite
-                .try_get::<ConsistencyStats>()
-                .ok_or_else(missing)?
-                .total
-        }
-        "weather" => suite
-            .try_get::<WeatherReport>()
-            .ok_or_else(missing)?
-            .daily_policies()
-            .len() as u64,
-        "mechanism" => suite
-            .try_get::<MechanismInference>()
-            .ok_or_else(missing)?
-            .total(),
-        other => {
-            return Err(Error::InvalidConfig(format!(
-                "unknown analysis key `{other}`"
-            )))
-        }
-    };
-    Ok(value)
-}
-
-/// What [`metric`] counts, for table headers.
-pub fn metric_label(key: &str) -> &'static str {
-    match key {
-        "datasets" => "denied records",
-        "overview" => "denied rows",
-        "ports" => "censored requests",
-        "domains" => "censored requests",
-        "categories" => "censored requests",
-        "users" => "censored users",
-        "temporal" => "censored requests",
-        "proxies" => "censored requests",
-        "redirects" => "identified redirects",
-        "inference" => "censored requests",
-        "ip" => "censored (geolocated)",
-        "social" => "censored OSN requests",
-        "tor" => "censored Tor requests",
-        "anonymizers" => "anonymizer hosts",
-        "bittorrent" => "censored announces",
-        "https" => "censored HTTPS",
-        "google_cache" => "censored cache hits",
-        "consistency" => "anomalies",
-        "weather" => "days observed",
-        "mechanism" => "mechanism votes",
-        _ => "value",
-    }
+    })?;
+    Ok(analysis.headline())
 }
 
 /// One window of a [`series`] query.
@@ -395,18 +242,25 @@ pub fn diff(frames: &[Frame], a: u64, b: u64) -> Result<HistoryDiff> {
         let Some(view) = view else {
             return Ok((0, Vec::new(), Vec::new()));
         };
-        let cats = view.suite.try_get::<CategoryStats>().ok_or_else(|| {
-            Error::InvalidConfig("logged suite has no `categories` analysis".to_string())
-        })?;
-        let doms = view.suite.try_get::<DomainStats>().ok_or_else(|| {
-            Error::InvalidConfig("logged suite has no `domains` analysis".to_string())
-        })?;
-        let categories = cats
+        for key in ["categories", "domains"] {
+            if !view.suite.selection().contains(key) {
+                return Err(Error::InvalidConfig(format!(
+                    "logged suite has no `{key}` analysis"
+                )));
+            }
+        }
+        let categories = view
+            .suite
+            .categories()
             .censored
             .iter()
             .map(|(c, n)| (c.name().to_string(), n))
             .collect();
-        Ok((view.records, categories, doms.top_censored(usize::MAX)))
+        Ok((
+            view.records,
+            categories,
+            view.suite.domains().top_censored(usize::MAX),
+        ))
     };
     let (to_records, to_cats, to_doms) = pick(Some(&to_view))?;
     let (from_records, from_cats, from_doms) = pick(from_view.as_ref())?;

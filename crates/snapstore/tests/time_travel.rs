@@ -11,7 +11,8 @@ use filterscope_core::{ProxyId, Timestamp};
 use filterscope_logformat::record::RecordBuilder;
 use filterscope_logformat::{LogRecord, RequestUrl};
 use filterscope_snapstore::{
-    decode_value, diff, encode_value, read_frames, series, suite_at, FrameKind, SnapLog, SUITE_KEY,
+    decode_value, diff, encode_value, metric, read_frames, series, suite_at, FrameKind, SnapLog,
+    SUITE_KEY,
 };
 use std::path::PathBuf;
 
@@ -69,12 +70,13 @@ fn write_cycles(log: &mut SnapLog, cycles: &[Vec<LogRecord>]) -> AnalysisSuite {
     let mut live = AnalysisSuite::with_selection(&SuiteParams::new(1), &selection());
     let mut straight = live.fresh_like();
     for cycle in cycles {
-        let mut max_ts = 0;
-        for record in cycle {
-            live.ingest(&ctx, &record.as_view());
-            straight.ingest(&ctx, &record.as_view());
-            max_ts = max_ts.max(record.timestamp.epoch_seconds() as u64);
-        }
+        live.ingest_records(&ctx, cycle);
+        straight.ingest_records(&ctx, cycle);
+        let max_ts = cycle
+            .iter()
+            .map(|record| record.timestamp.epoch_seconds() as u64)
+            .max()
+            .unwrap_or(0);
         let delta = live.take_delta();
         log.append(
             FrameKind::Delta,
@@ -286,10 +288,8 @@ fn compaction_preserves_fold_and_fails_closed_on_lost_past() {
         .collect();
     let mut live = AnalysisSuite::with_selection(&SuiteParams::new(1), &selection());
     let mut full = straight;
-    for record in &day4 {
-        live.ingest(&ctx, &record.as_view());
-        full.ingest(&ctx, &record.as_view());
-    }
+    live.ingest_records(&ctx, &day4);
+    full.ingest_records(&ctx, &day4);
     let end4 = epoch("2011-08-04", "10:00:00");
     log.append(
         FrameKind::Delta,
@@ -317,4 +317,43 @@ fn compaction_preserves_fold_and_fails_closed_on_lost_past() {
     // The pre-compaction past is gone; queries into it fail closed.
     assert!(suite_at(&frames, end2).is_err());
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+#[test]
+fn domains_headline_is_the_sum_over_censored_domains() {
+    // `series` over `domains` reads the headline (the censored map's
+    // total); it must equal the sum over every censored domain's count,
+    // which is what the query summed before, on a merged, saved and
+    // reloaded suite alike.
+    let ctx = AnalysisContext::standard(None);
+    let mut merged = AnalysisSuite::with_selection(&SuiteParams::new(1), &selection());
+    let mut shard = merged.fresh_like();
+    let hosts = ["badoo.com", "metacafe.com", "skype.com", "ok.example"];
+    let day = |date: &str| -> Vec<LogRecord> {
+        (0..200)
+            .map(|i| {
+                rec_path(
+                    date,
+                    "10:00:00",
+                    hosts[i % 4],
+                    &format!("/p{i}"),
+                    i % 3 != 0,
+                )
+            })
+            .collect()
+    };
+    merged.ingest_records(&ctx, day("2011-08-01"));
+    shard.ingest_records(&ctx, day("2011-08-02"));
+    merged.merge(shard);
+    let loaded = AnalysisSuite::load_bytes(&merged.save_bytes()).unwrap();
+    for suite in [&merged, &loaded] {
+        let summed: u64 = suite
+            .domains()
+            .top_censored(usize::MAX)
+            .iter()
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(summed, 266);
+        assert_eq!(metric(suite, "domains").unwrap(), summed);
+    }
 }

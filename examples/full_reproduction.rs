@@ -32,9 +32,7 @@ fn main() {
     let t0 = Instant::now();
     let shards = corpus.par_map_days(|_day, records| {
         let mut suite = AnalysisSuite::new(min_support);
-        for r in records {
-            suite.ingest(&ctx, &r.as_view());
-        }
+        suite.ingest_records(&ctx, records);
         suite
     });
     let mut suite = AnalysisSuite::new(min_support);

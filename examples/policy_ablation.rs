@@ -9,7 +9,6 @@
 //! showing how much of the observed censorship the recovered policy
 //! explains.
 
-use filterscope::analysis::filter_inference::FilterInference;
 use filterscope::logformat::RequestClass;
 use filterscope::prelude::*;
 use filterscope::proxy::{cpl, FarmConfig, PolicyData, RuleFamily};
@@ -52,11 +51,16 @@ fn main() {
 
     // Recover the policy from the full farm's own logs, export to CPL,
     // parse back, and replay.
-    let mut inference = FilterInference::new(&[]);
-    for req in &requests {
-        inference.ingest(&full_farm.process_on(req, ProxyId::Sg42).as_view());
-    }
-    let recovered = inference.export_policy(3, 3);
+    let mut suite =
+        AnalysisSuite::with_selection(&SuiteParams::blind(3), &Selection::pinned("inference"));
+    let ctx = AnalysisContext::standard(None);
+    suite.ingest_records(
+        &ctx,
+        requests
+            .iter()
+            .map(|req| full_farm.process_on(req, ProxyId::Sg42)),
+    );
+    let recovered = suite.inference().export_policy(3, 3);
     let text = cpl::to_cpl(&recovered);
     let parsed = cpl::parse_cpl(&text).expect("generated CPL must parse");
     let recovered_farm = ProxyFarm::with_policy(FarmConfig::default(), &parsed, None);

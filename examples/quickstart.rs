@@ -13,7 +13,7 @@ fn main() {
     let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
 
     let mut suite = AnalysisSuite::new(2);
-    corpus.for_each_record(|record| suite.ingest(&ctx, &record.as_view()));
+    suite.ingest_records(&ctx, corpus.generate());
 
     println!("{}", suite.datasets().render());
     println!("{}", suite.overview().render());

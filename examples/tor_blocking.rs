@@ -10,8 +10,6 @@
 //! cargo run --release --example tor_blocking
 //! ```
 
-use filterscope::analysis::tor_usage::TorStats;
-use filterscope::analysis::AnalysisContext;
 use filterscope::core::{Date, ProxyId, TimeOfDay, Timestamp};
 use filterscope::logformat::RequestUrl;
 use filterscope::prelude::*;
@@ -35,9 +33,8 @@ fn main() {
     );
     let ctx = AnalysisContext::standard(Some(relays));
 
-    let mut stats = TorStats::standard();
+    let mut records = Vec::new();
     let mut per_proxy_censored = [0u64; 7];
-    let mut total = 0u64;
     for (date, doc) in dates.iter().zip(&docs) {
         for hour in 0..24u8 {
             let ts = Timestamp::new(*date, TimeOfDay::new(hour, 13, 0).expect("static time"));
@@ -50,9 +47,7 @@ fn main() {
                         RequestUrl::http(relay.addr.to_string(), DIR_PATHS[i % DIR_PATHS.len()])
                             .with_port(relay.dir_port),
                     );
-                    let rec = farm.process(&dir);
-                    stats.ingest(&ctx, &rec.as_view());
-                    total += 1;
+                    records.push(farm.process(&dir));
                 }
                 for k in 0..3u8 {
                     let onion = Request::get(
@@ -65,14 +60,16 @@ fn main() {
                             per_proxy_censored[p.index()] += 1;
                         }
                     }
-                    stats.ingest(&ctx, &rec.as_view());
-                    total += 1;
+                    records.push(rec);
                 }
             }
         }
     }
 
-    eprintln!("processed {total} Tor probes");
+    let mut suite = AnalysisSuite::with_selection(&SuiteParams::new(1), &Selection::pinned("tor"));
+    suite.ingest_records(&ctx, &records);
+    let stats = suite.tor();
+    eprintln!("processed {} Tor probes", records.len());
     println!("{}", stats.render());
 
     println!("== censored Tor requests per proxy ==");

@@ -18,9 +18,7 @@ fn analyze(corpus: &Corpus) -> AnalysisSuite {
     let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
     let shards = corpus.par_map_days(|_, records| {
         let mut suite = AnalysisSuite::new(3);
-        for r in records {
-            suite.ingest(&ctx, &r.as_view());
-        }
+        suite.ingest_records(&ctx, records);
         suite
     });
     let mut suite = AnalysisSuite::new(3);

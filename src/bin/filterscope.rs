@@ -21,7 +21,7 @@
 
 use filterscope::analysis::comparison::compare;
 use filterscope::analysis::pipeline::{ParallelIngest, ShardSink};
-use filterscope::analysis::registry::REGISTRY;
+use filterscope::analysis::registry::{self, REGISTRY};
 use filterscope::analysis::report::Table;
 use filterscope::core::fs::atomic_write;
 use filterscope::core::progress::fmt_secs;
@@ -33,7 +33,7 @@ use filterscope::prelude::*;
 use filterscope::proxy::config::FarmConfig;
 use filterscope::proxy::{artifact, cpl, PolicyData, ProfileKind};
 use filterscope::snapstore::{
-    decode_value, diff, metric_label, read_frames, series, suite_at, Frame, RecoveryReport,
+    decode_value, diff, read_frames, series, suite_at, Frame, RecoveryReport,
 };
 use filterscope::stream::{
     install_sigint, stream_corpus, stream_files, ServeConfig, Server, StreamConfig,
@@ -504,8 +504,8 @@ fn cmd_audit(args: &Args) -> ExitCode {
         print!("{}", report.render());
         lint_failed = report.failing(false);
     }
-    for analysis in suite.analyses() {
-        if analysis.key() != "inference" {
+    for (entry, analysis) in suite.analyses() {
+        if entry.key != "inference" {
             println!("{}", analysis.render(&ctx));
         }
     }
@@ -656,9 +656,7 @@ fn cmd_report(args: &Args) -> ExitCode {
     // run to one thread; shards merge in plan order for determinism.
     let shards = corpus.par_map_day_shards(threads, 0, |_, records| {
         let mut suite = AnalysisSuite::with_selection(&params, &selection);
-        for r in records {
-            suite.ingest(&ctx, &r.as_view());
-        }
+        suite.ingest_records(&ctx, records);
         suite
     });
     let mut suite = AnalysisSuite::with_selection(&params, &selection);
@@ -780,7 +778,7 @@ fn cmd_replay(args: &Args) -> ExitCode {
     // the ingest pipeline with the analysis cost subtracted.
     struct NullSink;
     impl ShardSink for NullSink {
-        fn ingest(&mut self, _record: &RecordView<'_>) {}
+        fn ingest_block(&mut self, _block: &[RecordView<'_>]) {}
         fn absorb(&mut self, _other: Self) {}
     }
     let p = Progress::start();
@@ -798,14 +796,18 @@ fn cmd_replay(args: &Args) -> ExitCode {
     let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
     let min_support = (total / 100_000).clamp(3, 500);
     let p = Progress::start();
-    let (suite, ingest_stats) =
-        match ingest_driver(threads, "replay ingest").ingest_suite(&paths, &ctx, min_support) {
-            Ok(done) => done,
-            Err(e) => {
-                eprintln!("replay failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let (suite, ingest_stats) = match ingest_driver(threads, "replay ingest").ingest_selected(
+        &paths,
+        &ctx,
+        &SuiteParams::new(min_support),
+        &Selection::default_suite(),
+    ) {
+        Ok(done) => done,
+        Err(e) => {
+            eprintln!("replay failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let t_ingest_pass = p.elapsed_secs();
     let t_merge = ingest_stats.merge_elapsed.as_secs_f64();
     drop(suite);
@@ -965,8 +967,8 @@ fn cmd_weather(args: &Args) -> ExitCode {
     };
     eprintln!("{}", stats.render());
     println!("{}", suite.weather().render());
-    for analysis in suite.analyses() {
-        if analysis.key() != "weather" {
+    for (entry, analysis) in suite.analyses() {
+        if entry.key != "weather" {
             println!("{}", analysis.render(&ctx));
         }
     }
@@ -983,7 +985,12 @@ fn cmd_compare(args: &Args) -> ExitCode {
     let ctx = AnalysisContext::standard(None);
     let ingest = ingest_driver(pool::available_threads(), "compare");
     let load = |path: &str| -> Result<AnalysisSuite, ExitCode> {
-        match ingest.ingest_suite(&[PathBuf::from(path)], &ctx, min_support) {
+        match ingest.ingest_selected(
+            &[PathBuf::from(path)],
+            &ctx,
+            &SuiteParams::new(min_support),
+            &Selection::default_suite(),
+        ) {
             Ok((suite, stats)) => {
                 eprintln!("{}", stats.render());
                 Ok(suite)
@@ -1258,7 +1265,7 @@ fn history_at(args: &Args, frames: &[Frame]) -> ExitCode {
     let ctx = AnalysisContext::standard(None);
     match args.flag("analysis") {
         None => println!("{}", view.suite.render_all(&ctx)),
-        Some(key) => match view.suite.analyses().iter().find(|a| a.key() == key) {
+        Some(key) => match view.suite.analysis(key) {
             Some(analysis) => println!("{}", analysis.render(&ctx)),
             None => {
                 eprintln!("analysis `{key}` is not in the logged suite's selection");
@@ -1360,7 +1367,11 @@ fn history_series(args: &Args, frames: &[Frame]) -> ExitCode {
     }
     let mut t = Table::new(
         format!("{key} per {step}s window"),
-        &["Window start", metric_label(key), "Cumulative"],
+        &[
+            "Window start",
+            registry::entry(key).map_or("value", |e| e.metric_label),
+            "Cumulative",
+        ],
     );
     for p in &points {
         t.row([

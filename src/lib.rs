@@ -16,7 +16,7 @@
 //! let corpus = Corpus::new(SynthConfig::new(262_144).unwrap());
 //! let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
 //! let mut suite = AnalysisSuite::new(2);
-//! corpus.for_each_record(|r| suite.ingest(&ctx, &r.as_view()));
+//! suite.ingest_records(&ctx, &corpus.generate());
 //! println!("{}", suite.overview().render()); // Table 3
 //! assert!(suite.datasets().full > 1000);
 //! ```

@@ -4,12 +4,19 @@
 use filterscope::prelude::*;
 use filterscope::proxy;
 
-/// Build one analyzed suite at the given scale.
+/// Build one analyzed suite at the given scale: one suite per day, each
+/// fed its day's record stream, merged in day order (as `report` does).
 fn analyzed(scale: u64, min_support: u64) -> (AnalysisSuite, AnalysisContext) {
     let corpus = Corpus::new(SynthConfig::new(scale).expect("valid scale"));
     let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
     let mut suite = AnalysisSuite::new(min_support);
-    corpus.for_each_record(|r| suite.ingest(&ctx, &r.as_view()));
+    for day in corpus.par_map_days(|_, records| {
+        let mut day = AnalysisSuite::new(min_support);
+        day.ingest_records(&ctx, records);
+        day
+    }) {
+        suite.merge(day);
+    }
     (suite, ctx)
 }
 
@@ -196,12 +203,10 @@ fn parallel_and_sequential_analysis_agree() {
     let corpus = Corpus::new(SynthConfig::new(131_072).expect("valid scale"));
     let ctx = AnalysisContext::standard(Some(corpus.relay_index()));
     let mut seq = AnalysisSuite::new(2);
-    corpus.for_each_record(|r| seq.ingest(&ctx, &r.as_view()));
+    seq.ingest_records(&ctx, corpus.generate());
     let shards = corpus.par_map_days(|_, records| {
         let mut s = AnalysisSuite::new(2);
-        for r in records {
-            s.ingest(&ctx, &r.as_view());
-        }
+        s.ingest_records(&ctx, records);
         s
     });
     let mut par = AnalysisSuite::new(2);
@@ -231,8 +236,10 @@ fn mechanism_inference_recovers_every_censor_profile() {
             .expect("valid scale")
             .with_censor(kind);
         let corpus = Corpus::new(config);
-        let mut mech = MechanismInference::new();
-        corpus.for_each_record(|r| mech.ingest(&r.as_view()));
+        let mut suite =
+            AnalysisSuite::with_selection(&SuiteParams::new(1), &Selection::pinned("mechanism"));
+        suite.ingest_records(&AnalysisContext::standard(None), corpus.generate());
+        let mech = suite.try_get::<MechanismInference>().expect("selected");
         let (got, confidence) = mech.verdict().expect("corpus has censored records");
         assert_eq!(got, kind, "recovered mechanism for {}", kind.name());
         assert!(

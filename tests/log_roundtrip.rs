@@ -89,9 +89,7 @@ fn analysis_of_reread_log_matches_direct_analysis() {
     let ctx = AnalysisContext::standard(None);
 
     let mut direct = AnalysisSuite::new(2);
-    for r in &records {
-        direct.ingest(&ctx, &r.as_view());
-    }
+    direct.ingest_records(&ctx, &records);
 
     let mut writer = LogWriter::new(Vec::new());
     for r in &records {

@@ -126,7 +126,7 @@ proptest! {
     /// Suite ingest is observationally identical however the records are
     /// cut into blocks, for every registry key alone and for all of them
     /// together: one block, blocks split at arbitrary points, and size-1
-    /// blocks (`ingest`) give the same rendered reports and JSON summary.
+    /// blocks give the same rendered reports and JSON summary.
     #[test]
     fn ingest_block_equals_per_record(
         reqs in proptest::collection::vec(prop_block_request(), 1..30),
@@ -151,8 +151,8 @@ proptest! {
                 split.ingest_block(&ctx, &views[pair[0]..pair[1]]);
             }
             let mut single = AnalysisSuite::with_selection(&params, selection);
-            for v in &views {
-                single.ingest(&ctx, v);
+            for v in views.chunks(1) {
+                single.ingest_block(&ctx, v);
             }
             let want = (whole.render_all(&ctx), whole.summary_json(&ctx));
             for (how, suite) in [("split", &split), ("size-1", &single)] {
@@ -180,12 +180,12 @@ proptest! {
         let params = SuiteParams::new(1);
         let mut everything = AnalysisSuite::with_selection(&params, &Selection::everything());
         everything.ingest_block(&ctx, &views);
-        for (entry, full) in REGISTRY.iter().zip(everything.analyses()) {
+        for (entry, (full_entry, full)) in REGISTRY.iter().zip(everything.analyses()) {
             let selection = Selection::only(&[entry.key]).expect("registry key");
             let mut alone = AnalysisSuite::with_selection(&params, &selection);
             alone.ingest_block(&ctx, &views);
-            let alone = &alone.analyses()[0];
-            prop_assert_eq!(alone.key(), full.key());
+            let (alone_entry, alone) = alone.analyses().next().expect("one analysis");
+            prop_assert_eq!(alone_entry.key, full_entry.key);
             prop_assert_eq!(alone.render(&ctx), full.render(&ctx), "analysis {}", entry.key);
             prop_assert_eq!(
                 alone.export_json(&ctx),

@@ -17,12 +17,7 @@ const MIN_SUPPORT: u64 = 3;
 
 fn records() -> &'static [LogRecord] {
     static RECORDS: OnceLock<Vec<LogRecord>> = OnceLock::new();
-    RECORDS.get_or_init(|| {
-        let corpus = Corpus::new(SynthConfig::new(SCALE).unwrap());
-        let mut out = Vec::new();
-        corpus.for_each_record(|r| out.push(r.clone()));
-        out
-    })
+    RECORDS.get_or_init(|| Corpus::new(SynthConfig::new(SCALE).unwrap()).generate())
 }
 
 fn ctx() -> AnalysisContext {
@@ -39,19 +34,13 @@ fn everything_suite() -> AnalysisSuite {
     AnalysisSuite::with_selection(&SuiteParams::new(MIN_SUPPORT), &Selection::everything())
 }
 
-fn ingest_range(suite: &mut AnalysisSuite, ctx: &AnalysisContext, range: &[LogRecord]) {
-    for r in range {
-        suite.ingest(ctx, &r.as_view());
-    }
-}
-
 /// The single-pass fingerprint over the whole registry, computed once.
 fn sequential_baseline() -> &'static (String, String) {
     static BASELINE: OnceLock<(String, String)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let ctx = ctx();
         let mut suite = everything_suite();
-        ingest_range(&mut suite, &ctx, records());
+        suite.ingest_records(&ctx, records());
         fingerprint(&suite, &ctx)
     })
 }
@@ -74,9 +63,7 @@ fn profile_records(kind: ProfileKind) -> &'static [LogRecord] {
             .iter()
             .map(|&k| {
                 let config = SynthConfig::new(PROFILE_SCALE).unwrap().with_censor(k);
-                let mut out = Vec::new();
-                Corpus::new(config).for_each_record(|r| out.push(r.clone()));
-                out
+                Corpus::new(config).generate()
             })
             .collect()
     })[kind.index()]
@@ -91,7 +78,7 @@ fn profile_baseline(kind: ProfileKind) -> &'static (String, String) {
             .iter()
             .map(|&k| {
                 let mut suite = everything_suite();
-                ingest_range(&mut suite, &ctx, profile_records(k));
+                suite.ingest_records(&ctx, profile_records(k));
                 fingerprint(&suite, &ctx)
             })
             .collect()
@@ -107,8 +94,8 @@ proptest! {
         let split = cut(frac);
         let mut a = everything_suite();
         let mut b = everything_suite();
-        ingest_range(&mut a, &ctx, &records()[..split]);
-        ingest_range(&mut b, &ctx, &records()[split..]);
+        a.ingest_records(&ctx, &records()[..split]);
+        b.ingest_records(&ctx, &records()[split..]);
         a.merge(b);
         prop_assert_eq!(&fingerprint(&a, &ctx), sequential_baseline());
     }
@@ -120,10 +107,10 @@ proptest! {
         let ctx = ctx();
         let (lo, hi) = (cut(f1.min(f2)), cut(f1.max(f2)));
         let mut acc = everything_suite();
-        ingest_range(&mut acc, &ctx, &records()[..lo]);
+        acc.ingest_records(&ctx, &records()[..lo]);
         for range in [&records()[lo..hi], &records()[hi..]] {
             let mut shard = everything_suite();
-            ingest_range(&mut shard, &ctx, range);
+            shard.ingest_records(&ctx, range);
             acc.merge(shard);
         }
         prop_assert_eq!(&fingerprint(&acc, &ctx), sequential_baseline());
@@ -142,11 +129,11 @@ proptest! {
         let params = SuiteParams::new(MIN_SUPPORT);
         let split = cut(frac);
         let mut seq = AnalysisSuite::with_selection(&params, &selection);
-        ingest_range(&mut seq, &ctx, records());
+        seq.ingest_records(&ctx, records());
         let mut a = AnalysisSuite::with_selection(&params, &selection);
         let mut b = AnalysisSuite::with_selection(&params, &selection);
-        ingest_range(&mut a, &ctx, &records()[..split]);
-        ingest_range(&mut b, &ctx, &records()[split..]);
+        a.ingest_records(&ctx, &records()[..split]);
+        b.ingest_records(&ctx, &records()[split..]);
         a.merge(b);
         prop_assert_eq!(fingerprint(&a, &ctx), fingerprint(&seq, &ctx));
     }
@@ -165,8 +152,8 @@ proptest! {
         let split = recs.len() * frac as usize / 1000;
         let mut a = everything_suite();
         let mut b = everything_suite();
-        ingest_range(&mut a, &ctx, &recs[..split]);
-        ingest_range(&mut b, &ctx, &recs[split..]);
+        a.ingest_records(&ctx, &recs[..split]);
+        b.ingest_records(&ctx, &recs[split..]);
         a.merge(b);
         prop_assert_eq!(&fingerprint(&a, &ctx), profile_baseline(kind));
     }
