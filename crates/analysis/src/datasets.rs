@@ -8,73 +8,23 @@
 
 use crate::report::{thousands, Table};
 use filterscope_logformat::{classify, ClientId, RecordView};
+use filterscope_proxy::hashing::{fnv1a, fnv1a_from};
 
 /// Per-mille size of `Dsample` (the paper uses 4 %).
 pub const SAMPLE_PER_MILLE: u64 = 40;
-
-/// Streaming FNV-1a, so sampling hashes field slices in place instead of
-/// assembling a key buffer per record.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// Hash exactly the bytes `ClientId`'s `Display` writes (16 lowercase
-    /// hex digits, a dotted quad, or `0.0.0.0`) without going through
-    /// `core::fmt`.
-    fn update_client(&mut self, client: &ClientId) {
-        match *client {
-            ClientId::Zeroed => self.update(b"0.0.0.0"),
-            ClientId::Hashed(v) => {
-                let mut hex = [0u8; 16];
-                for (i, digit) in hex.iter_mut().enumerate() {
-                    *digit = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
-                }
-                self.update(&hex);
-            }
-            ClientId::Addr(addr) => {
-                for (i, octet) in addr.octets().into_iter().enumerate() {
-                    if i > 0 {
-                        self.update(b".");
-                    }
-                    let digits = [
-                        b'0' + octet / 100,
-                        b'0' + octet / 10 % 10,
-                        b'0' + octet % 10,
-                    ];
-                    let skip = match octet {
-                        100.. => 0,
-                        10.. => 1,
-                        _ => 2,
-                    };
-                    self.update(&digits[skip..]);
-                }
-            }
-        }
-    }
-}
 
 /// Is this record in the deterministic 4 % sample?
 ///
 /// Sampling hashes the record's identity (URL + client + timestamp) so the
 /// sample is stable across passes and shards.
 pub fn in_sample(record: &RecordView<'_>) -> bool {
-    let mut h = Fnv1a::new();
-    h.update(record.url.host.as_bytes());
-    h.update(record.url.path.as_bytes());
-    h.update(record.url.query.as_bytes());
-    h.update(&record.timestamp.epoch_seconds().to_le_bytes());
-    h.update_client(&record.client);
-    h.0 % 1000 < SAMPLE_PER_MILLE
+    let url = &record.url;
+    let mut h = fnv1a(url.host.as_bytes());
+    h = fnv1a_from(h, url.path.as_bytes());
+    h = fnv1a_from(h, url.query.as_bytes());
+    h = fnv1a_from(h, &record.timestamp.epoch_seconds().to_le_bytes());
+    h = fnv1a_from(h, record.client.logged(&mut [0; 16]).as_bytes());
+    h % 1000 < SAMPLE_PER_MILLE
 }
 
 /// Is this record in `Duser` (hashed client identifiers)?
@@ -247,29 +197,6 @@ mod tests {
             .parse_view(&mut splitter, &line, 1)
             .unwrap();
         assert_eq!(in_sample(&parsed), in_sample(&r.as_view()));
-    }
-
-    proptest::proptest! {
-        /// The hand-rolled client bytes equal the `Display` form the
-        /// sample hash was defined over, so sample membership cannot move.
-        #[test]
-        fn client_bytes_equal_the_display_form(
-            variant in 0u8..3,
-            raw in proptest::any::<u64>(),
-            shift in 0u32..64,
-        ) {
-            let v = raw >> shift;
-            let client = match variant {
-                0 => ClientId::Zeroed,
-                1 => ClientId::Hashed(v),
-                _ => ClientId::Addr(std::net::Ipv4Addr::from(v as u32)),
-            };
-            let mut direct = Fnv1a::new();
-            direct.update_client(&client);
-            let mut shown = Fnv1a::new();
-            shown.update(client.to_string().as_bytes());
-            proptest::prop_assert_eq!(direct.0, shown.0, "client {}", client);
-        }
     }
 
     #[test]

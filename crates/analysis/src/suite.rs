@@ -165,8 +165,8 @@ impl AnalysisSuite {
     /// selection keys in paper order, and one length-prefixed
     /// [`Analysis::save_state`] payload per analysis. The encoding is a
     /// deterministic function of the accumulated state (sorted map order,
-    /// resolved strings — see [`crate::state`]), so two suites that saw the
-    /// same records byte-compare equal.
+    /// resolved strings — see the crate's `state` module), so two suites
+    /// that saw the same records byte-compare equal.
     pub fn save_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u8(SUITE_PAYLOAD_VERSION);

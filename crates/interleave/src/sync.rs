@@ -1,10 +1,10 @@
 //! Checkable sync primitives: mutexes and atomics with a std passthrough
 //! backend and a model backend driven by the schedule explorer.
 //!
-//! Construction decides the backend (see [`crate::ctx`]): inside a model
-//! execution the primitive registers an object with the engine and every
-//! operation becomes a schedule point; outside, operations compile to a
-//! single enum branch around the `std::sync` call.
+//! Construction decides the backend (see the crate's `ctx` module): inside
+//! a model execution the primitive registers an object with the engine and
+//! every operation becomes a schedule point; outside, operations compile to
+//! a single enum branch around the `std::sync` call.
 //!
 //! # Poisoning
 //!

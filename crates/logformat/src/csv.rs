@@ -216,9 +216,12 @@ impl<'a> std::ops::Index<usize> for Fields<'a> {
     }
 }
 
-/// Does this field value need quoting?
+/// Does this field value need quoting (does it hold a comma, a quote or a
+/// line break)? One scan over the bytes.
 pub fn needs_quoting(field: &str) -> bool {
-    field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r')
+    field
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
 }
 
 /// Append one field to `out`, quoting if necessary.
@@ -299,16 +302,6 @@ pub fn write_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
     write_uint(out, u64::from(c));
     out.push('.');
     write_uint(out, u64::from(d));
-}
-
-/// Append `v` as 16 lowercase hex digits (the hashed-client rendering).
-pub fn write_hex16(out: &mut String, v: u64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut digits = [0u8; 16];
-    for (i, d) in digits.iter_mut().enumerate() {
-        *d = HEX[((v >> (60 - 4 * i)) & 0xF) as usize];
-    }
-    out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -438,16 +431,6 @@ mod tests {
             out.clear();
             write_ipv4(&mut out, parsed);
             assert_eq!(out, addr);
-        }
-    }
-
-    #[test]
-    fn hex16_matches_display() {
-        let mut out = String::new();
-        for v in [0u64, 1, 0xdead_beef, u64::MAX, 0x0123_4567_89ab_cdef] {
-            out.clear();
-            write_hex16(&mut out, v);
-            assert_eq!(out, format!("{v:016x}"));
         }
     }
 

@@ -340,15 +340,48 @@ impl ClientId {
             _ => None,
         }
     }
+
+    /// The logged spelling — `0.0.0.0`, 16 lowercase hex digits, or a
+    /// dotted quad — written into `buf` without going through `core::fmt`.
+    /// The CSV writer, `Display`, and the hashes keyed on the client
+    /// (`Dsample` membership, the farm's request identity) all use it.
+    pub fn logged<'b>(&self, buf: &'b mut [u8; 16]) -> &'b str {
+        let len = match *self {
+            ClientId::Zeroed => return "0.0.0.0",
+            ClientId::Hashed(v) => {
+                for (i, digit) in buf.iter_mut().enumerate() {
+                    *digit = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
+                }
+                16
+            }
+            ClientId::Addr(addr) => {
+                let mut n = 0;
+                for (i, octet) in addr.octets().into_iter().enumerate() {
+                    if i > 0 {
+                        buf[n] = b'.';
+                        n += 1;
+                    }
+                    if octet >= 100 {
+                        buf[n] = b'0' + octet / 100;
+                        n += 1;
+                    }
+                    if octet >= 10 {
+                        buf[n] = b'0' + octet / 10 % 10;
+                        n += 1;
+                    }
+                    buf[n] = b'0' + octet % 10;
+                    n += 1;
+                }
+                n
+            }
+        };
+        std::str::from_utf8(&buf[..len]).expect("ASCII digits")
+    }
 }
 
 impl fmt::Display for ClientId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientId::Zeroed => f.write_str("0.0.0.0"),
-            ClientId::Hashed(h) => write!(f, "{h:016x}"),
-            ClientId::Addr(a) => write!(f, "{a}"),
-        }
+        f.write_str(self.logged(&mut [0; 16]))
     }
 }
 

@@ -5,14 +5,18 @@ use crate::enums::{ClientId, ExceptionId, FilterResult, Method, SAction, Scheme}
 use crate::fields::EMPTY;
 use crate::schema::Schema;
 use crate::url::RequestUrl;
-use crate::view::{RecordView, UrlView};
+use crate::view::RecordView;
 use filterscope_core::{ProxyId, Result, Timestamp};
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 /// One access-log record, fully typed.
 ///
 /// Free-text fields keep their logged spelling so a parsed record can be
-/// re-serialized without loss.
+/// re-serialized without loss. The four fields a simulated appliance fills
+/// from a small fixed vocabulary (`s-hierarchy`, `rs-content-type`,
+/// `cs-categories`, `s-sitename`) are `Cow<'static, str>`: the farm
+/// borrows its constant spellings, a parsed record owns what it read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// `date` + `time`.
@@ -39,24 +43,24 @@ pub struct LogRecord {
     /// `cs-username` (empty when `-`; always empty in this deployment).
     pub username: String,
     /// `s-hierarchy` (e.g. `DIRECT`).
-    pub hierarchy: String,
+    pub hierarchy: Cow<'static, str>,
     /// `s-supplier-name` (upstream host, or empty).
     pub supplier: String,
     /// `rs-content-type` (empty when `-`).
-    pub content_type: String,
+    pub content_type: Cow<'static, str>,
     /// `cs-user-agent` (empty when `-`).
     pub user_agent: String,
     /// `sc-filter-result`.
     pub filter_result: FilterResult,
     /// `cs-categories` as logged (`unavailable`, `none`,
     /// `Blocked sites; unavailable`, `Blocked sites`).
-    pub categories: String,
+    pub categories: Cow<'static, str>,
     /// `x-virus-id` (empty when `-`).
     pub virus_id: String,
     /// `s-ip`: the proxy that handled the request.
     pub s_ip: Ipv4Addr,
     /// `s-sitename`.
-    pub sitename: String,
+    pub sitename: Cow<'static, str>,
     /// `x-exception-id`.
     pub exception: ExceptionId,
 }
@@ -117,11 +121,7 @@ impl LogRecord {
         out.push(',');
         csv::write_uint(out, u64::from(self.time_taken_ms));
         out.push(',');
-        match self.client {
-            ClientId::Zeroed => out.push_str("0.0.0.0"),
-            ClientId::Hashed(h) => csv::write_hex16(out, h),
-            ClientId::Addr(a) => csv::write_ipv4(out, a),
-        }
+        out.push_str(self.client.logged(&mut [0; 16]));
         out.push(',');
         if self.sc_status == 0 {
             out.push_str(EMPTY);
@@ -190,13 +190,7 @@ impl LogRecord {
             sc_bytes: self.sc_bytes,
             cs_bytes: self.cs_bytes,
             method: self.method.as_str(),
-            url: UrlView {
-                scheme: &self.url.scheme,
-                host: &self.url.host,
-                port: self.url.port,
-                path: &self.url.path,
-                query: &self.url.query,
-            },
+            url: self.url.as_view(),
             uri_ext: &self.uri_ext,
             username: &self.username,
             hierarchy: &self.hierarchy,
@@ -320,7 +314,7 @@ impl RecordBuilder {
 
     /// Set the `cs-categories` field.
     pub fn categories(mut self, c: impl Into<String>) -> Self {
-        self.record.categories = c.into();
+        self.record.categories = Cow::Owned(c.into());
         self
     }
 

@@ -5,6 +5,7 @@
 //! joined form the keyword scanner runs over, and classifies the host as
 //! domain vs. literal IPv4 (the pivot of the Table 11/12 analysis).
 
+use crate::view::UrlView;
 use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -53,6 +54,17 @@ impl RequestUrl {
     pub fn with_scheme(mut self, scheme: impl Into<String>) -> Self {
         self.scheme = scheme.into();
         self
+    }
+
+    /// Borrow this URL as a [`UrlView`].
+    pub fn as_view(&self) -> UrlView<'_> {
+        UrlView {
+            scheme: &self.scheme,
+            host: &self.host,
+            port: self.port,
+            path: &self.path,
+            query: &self.query,
+        }
     }
 
     /// The literal IPv4 address if `cs-host` is one (Table 11's `DIPv4`).

@@ -197,15 +197,15 @@ impl<'a> RecordView<'a> {
             url: self.url.to_url(),
             uri_ext: self.uri_ext.to_string(),
             username: self.username.to_string(),
-            hierarchy: self.hierarchy.to_string(),
+            hierarchy: Cow::Owned(self.hierarchy.to_string()),
             supplier: self.supplier.to_string(),
-            content_type: self.content_type.to_string(),
+            content_type: Cow::Owned(self.content_type.to_string()),
             user_agent: self.user_agent.to_string(),
             filter_result: self.filter_result,
-            categories: self.categories.to_string(),
+            categories: Cow::Owned(self.categories.to_string()),
             virus_id: self.virus_id.to_string(),
             s_ip: self.s_ip,
-            sitename: self.sitename.to_string(),
+            sitename: Cow::Owned(self.sitename.to_string()),
             exception: ExceptionId::parse(self.exception),
         }
     }

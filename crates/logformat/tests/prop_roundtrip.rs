@@ -74,6 +74,40 @@ proptest! {
         prop_assert_eq!(back, fields);
     }
 
+    /// The single-scan `needs_quoting` agrees with its definition: a field
+    /// needs quoting exactly when it contains a comma, a quote, a line feed
+    /// or a carriage return, wherever they sit among multi-byte characters.
+    #[test]
+    fn needs_quoting_is_the_four_contains_definition(
+        field in "[a-z ;,\"\n\r\u{e9}\u{2603}\u{1F600}]{0,24}",
+    ) {
+        let definition = field.contains(',')
+            || field.contains('"')
+            || field.contains('\n')
+            || field.contains('\r');
+        prop_assert_eq!(csv::needs_quoting(&field), definition);
+    }
+
+    /// `ClientId::logged` spells every client exactly as `core::fmt`
+    /// renders the value it wraps.
+    #[test]
+    fn client_logged_spelling_matches_std_formatting(
+        variant in 0u8..3,
+        raw in any::<u64>(),
+        shift in 0u32..64,
+    ) {
+        let v = raw >> shift;
+        let (client, want) = match variant {
+            0 => (ClientId::Zeroed, "0.0.0.0".to_string()),
+            1 => (ClientId::Hashed(v), format!("{v:016x}")),
+            _ => {
+                let addr = std::net::Ipv4Addr::from(v as u32);
+                (ClientId::Addr(addr), addr.to_string())
+            }
+        };
+        prop_assert_eq!(client.logged(&mut [0; 16]), want.as_str());
+    }
+
     /// split_line never panics on arbitrary input.
     #[test]
     fn split_line_is_total(line in "[ -~]{0,80}") {

@@ -9,8 +9,8 @@
 //! underlying decision's exception is usually preserved, and a fraction of
 //! censored cache hits lose their exception (the logged inconsistency).
 
-use crate::hashing::{decision_hash, per_cent_mille, per_mille};
-use crate::request::Request;
+use crate::hashing::{decision_hash, fnv1a, fnv1a_from, per_cent_mille, per_mille};
+use filterscope_core::Timestamp;
 
 /// Deterministic cache model.
 #[derive(Debug, Clone)]
@@ -33,24 +33,25 @@ impl CacheModel {
         }
     }
 
-    /// Is this request served from cache?
+    /// Is the request with identity key `key` (see
+    /// [`crate::Request::identity_key`]), made at `timestamp`, served from cache?
     ///
     /// Hashes URL identity plus a 10-minute time bucket: the same URL tends
     /// to hit or miss consistently within a bucket (cache residency), while
     /// different URLs are independent.
-    pub fn is_cache_hit(&self, req: &Request) -> bool {
-        let mut key = req.identity_bytes();
-        let bucket = req.timestamp.epoch_seconds() / 600;
-        key.extend_from_slice(&bucket.to_le_bytes());
-        let h = decision_hash(self.seed, "cache-hit", &key);
+    pub fn is_cache_hit(&self, key: u64, timestamp: Timestamp) -> bool {
+        const CACHE_HIT: u64 = fnv1a(b"cache-hit");
+        let bucket = timestamp.epoch_seconds() / 600;
+        let key = fnv1a_from(key, &bucket.to_le_bytes());
+        let h = decision_hash(self.seed, CACHE_HIT, key);
         per_cent_mille(h) < self.rate_per_cent_mille as u64
     }
 
-    /// For a censored request served from cache: is the policy exception
-    /// dropped from the log record?
-    pub fn drops_exception(&self, req: &Request) -> bool {
-        let key = req.identity_bytes();
-        let h = decision_hash(self.seed, "cache-drop-exc", &key);
+    /// For a censored request (identity key `key`) served from cache: is
+    /// the policy exception dropped from the log record?
+    pub fn drops_exception(&self, key: u64) -> bool {
+        const CACHE_DROP_EXC: u64 = fnv1a(b"cache-drop-exc");
+        let h = decision_hash(self.seed, CACHE_DROP_EXC, key);
         per_mille(h) < self.drop_exception_per_mille as u64
     }
 }
@@ -58,7 +59,7 @@ impl CacheModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use filterscope_core::Timestamp;
+    use crate::request::Request;
     use filterscope_logformat::RequestUrl;
 
     fn t0() -> Timestamp {
@@ -71,10 +72,8 @@ mod tests {
         let n = 300_000;
         let hits = (0..n)
             .filter(|i| {
-                m.is_cache_hit(&Request::get(
-                    t0(),
-                    RequestUrl::http(format!("h{i}.com"), "/"),
-                ))
+                let req = Request::get(t0(), RequestUrl::http(format!("h{i}.com"), "/"));
+                m.is_cache_hit(req.identity_key(), req.timestamp)
             })
             .count() as f64;
         let rate = hits / n as f64;
@@ -85,8 +84,9 @@ mod tests {
     fn same_url_same_bucket_is_stable() {
         let m = CacheModel::new(3, 50_000);
         let url = RequestUrl::http("popular.com", "/asset.js");
-        let a = m.is_cache_hit(&Request::get(t0(), url.clone()));
-        let b = m.is_cache_hit(&Request::get(t0().plus_seconds(30), url.clone()));
+        let key = Request::get(t0(), url).identity_key();
+        let a = m.is_cache_hit(key, t0());
+        let b = m.is_cache_hit(key, t0().plus_seconds(30));
         assert_eq!(a, b, "same 10-minute bucket must agree");
     }
 
@@ -96,10 +96,9 @@ mod tests {
         let n = 10_000;
         let drops = (0..n)
             .filter(|i| {
-                m.drops_exception(&Request::get(
-                    t0(),
-                    RequestUrl::http(format!("c{i}.com"), "/"),
-                ))
+                m.drops_exception(
+                    Request::get(t0(), RequestUrl::http(format!("c{i}.com"), "/")).identity_key(),
+                )
             })
             .count() as f64;
         let rate = drops / n as f64;

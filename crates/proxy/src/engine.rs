@@ -2,14 +2,15 @@
 
 use crate::config::ProxyConfig;
 use crate::decision::{Decision, Trigger};
-use crate::hashing::{decision_hash, per_mille};
+use crate::hashing::{decision_hash, fnv1a, per_mille};
 use crate::policy_data::PolicyData;
 use crate::request::Request;
 use filterscope_core::Timestamp;
+use filterscope_logformat::{RequestUrl, UrlView};
 use filterscope_match::{AcDfa, CidrSet, DomainTrie};
 use filterscope_tor::signaling;
 use filterscope_tor::RelayIndex;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A compiled policy, shared across the farm (the paper finds the proxies
@@ -24,8 +25,9 @@ pub struct PolicyEngine {
     domains: DomainTrie,
     subnets: CidrSet,
     redirect_hosts: HashSet<String>,
-    /// `(host, "/<page>")` pairs under the custom category.
-    custom_pages: HashSet<(String, String)>,
+    /// Custom-category pages: host → the `"/<page>"` paths under the
+    /// category, so a lookup borrows the request's host and path.
+    custom_pages: HashMap<String, HashSet<String>>,
     custom_queries: HashSet<String>,
     /// Tor relay endpoints by date, shared with the workload generator.
     relays: Option<Arc<RelayIndex>>,
@@ -42,12 +44,19 @@ impl PolicyEngine {
     /// Compile an arbitrary policy (e.g. one recovered by the §5.4
     /// inference, parsed from CPL, or an ablated variant).
     pub fn from_data(data: &PolicyData, relays: Option<Arc<RelayIndex>>, seed: u64) -> Self {
+        let mut custom_pages: HashMap<String, HashSet<String>> = HashMap::new();
+        for (host, path) in &data.custom_pages {
+            custom_pages
+                .entry(host.clone())
+                .or_default()
+                .insert(path.clone());
+        }
         PolicyEngine {
             keywords: AcDfa::build(&data.keywords),
             domains: DomainTrie::from_entries(data.blocked_domains.iter().map(|s| s.as_str())),
             subnets: CidrSet::from_blocks(data.blocked_subnets.iter().copied()),
             redirect_hosts: data.redirect_hosts.iter().cloned().collect(),
-            custom_pages: data.custom_pages.iter().cloned().collect(),
+            custom_pages,
             custom_queries: data.custom_queries.iter().cloned().collect(),
             relays: relays.clone(),
             seed,
@@ -59,7 +68,8 @@ impl PolicyEngine {
         self.custom_queries.contains(query)
             && self
                 .custom_pages
-                .contains(&(host.to_string(), path.to_string()))
+                .get(host)
+                .is_some_and(|paths| paths.contains(path))
     }
 
     /// Is the SG-44-style Tor rule active for `relay_addr` at `ts`, given a
@@ -91,7 +101,9 @@ impl PolicyEngine {
         }
         let day = date.days_from_civil() as u64;
         let hour = ts.time().hour() as u64;
-        let window = decision_hash(self.seed, "tor-window", &[day as u8, hour as u8]);
+        const TOR_WINDOW: u64 = fnv1a(b"tor-window");
+        const TOR_RELAY: u64 = fnv1a(b"tor-relay");
+        let window = decision_hash(self.seed, TOR_WINDOW, fnv1a(&[day as u8, hour as u8]));
         let intensity = match per_mille(window) {
             // ~40% of hours: rule fully off → Rfilter = 0 episodes.
             0..=399 => 0,
@@ -104,32 +116,61 @@ impl PolicyEngine {
         if intensity == 0 {
             return false;
         }
-        let mut key = Vec::with_capacity(12);
-        key.extend_from_slice(&u32::from(relay_addr).to_le_bytes());
-        key.extend_from_slice(&(day * 24 + hour).to_le_bytes());
-        per_mille(decision_hash(self.seed, "tor-relay", &key)) < intensity
+        let mut key = [0u8; 12];
+        key[..4].copy_from_slice(&u32::from(relay_addr).to_le_bytes());
+        key[4..].copy_from_slice(&(day * 24 + hour).to_le_bytes());
+        per_mille(decision_hash(self.seed, TOR_RELAY, fnv1a(&key))) < intensity
     }
 
     /// Evaluate the static rule tiers for a bare URL — the witness-execution
     /// hook used by `filterscope-policylint`.
     ///
-    /// Runs the *real* [`PolicyEngine::decide`] path on a plain GET with a
-    /// fixed in-study timestamp and the SG-42 configuration, whose Tor cap
-    /// is 0 — so the decision is a pure function of the URL and the five
-    /// static rule families, independent of relay data and wall-clock state.
-    pub fn decide_url(&self, url: &filterscope_logformat::RequestUrl) -> Decision {
-        let ts = Timestamp::parse_fields("2011-08-03", "12:00:00").expect("static literal");
-        let req = Request::get(ts, url.clone());
-        self.decide(
-            &ProxyConfig::standard(filterscope_core::ProxyId::Sg42),
-            &req,
-        )
+    /// The decision is a pure function of the URL and the five static rule
+    /// families, independent of relay data, proxy and wall-clock state: it
+    /// is [`PolicyEngine::decide_view`] with a fresh scratch buffer.
+    pub fn decide_url(&self, url: &RequestUrl) -> Decision {
+        self.decide_view(&url.as_view(), &mut String::new())
     }
 
     /// Evaluate the policy for `req` on a proxy configured as `cfg`.
     pub fn decide(&self, cfg: &ProxyConfig, req: &Request) -> Decision {
         let mut filter_buf = String::new();
         self.decide_with_buf(cfg, req, &mut filter_buf)
+    }
+
+    /// The static rule tiers (1–5) over a borrowed URL: custom category,
+    /// redirect hosts, keywords, domain suffixes, destination subnets.
+    /// `filter_buf` is caller-owned scratch for the keyword scan's
+    /// host+path+query view, so a loop over many URLs allocates nothing.
+    /// Every decision path runs these tiers through this one function.
+    pub fn decide_view(&self, url: &UrlView<'_>, filter_buf: &mut String) -> Decision {
+        // 1. Custom-category rules (narrow Facebook-page patterns).
+        if self.in_custom_category(url.host, url.path, url.query) {
+            return Decision::Redirect(Trigger::CustomCategory);
+        }
+
+        // 2. Redirect hosts (Table 7).
+        if self.redirect_hosts.contains(url.host) {
+            return Decision::Redirect(Trigger::RedirectHost);
+        }
+
+        // 3. Keyword scan over host+path+query.
+        url.filter_view_into(filter_buf);
+        if self.keywords.is_match(filter_buf.as_bytes()) {
+            return Decision::Deny(Trigger::Keyword);
+        }
+
+        // 4. Domain suffix blacklist.
+        if self.domains.matches(url.host) {
+            return Decision::Deny(Trigger::Domain);
+        }
+
+        // 5. Destination-subnet blacklist (literal-IP hosts).
+        if url.host_ip().is_some_and(|ip| self.subnets.contains(ip)) {
+            return Decision::Deny(Trigger::IpSubnet);
+        }
+
+        Decision::Allow
     }
 
     /// [`PolicyEngine::decide`] with a caller-owned scratch buffer for the
@@ -143,51 +184,29 @@ impl PolicyEngine {
         filter_buf: &mut String,
     ) -> Decision {
         let url = &req.url;
-
-        // 1. Custom-category rules (narrow Facebook-page patterns).
-        if self.in_custom_category(&url.host, &url.path, &url.query) {
-            return Decision::Redirect(Trigger::CustomCategory);
+        let decision = self.decide_view(&url.as_view(), filter_buf);
+        if decision.is_censored() {
+            return decision;
         }
 
-        // 2. Redirect hosts (Table 7).
-        if self.redirect_hosts.contains(&url.host) {
-            return Decision::Redirect(Trigger::RedirectHost);
-        }
-
-        // 3. Keyword scan over host+path+query.
-        url.filter_view_into(filter_buf);
-        if self.keywords.is_match(filter_buf.as_bytes()) {
-            return Decision::Deny(Trigger::Keyword);
-        }
-
-        // 4. Domain suffix blacklist.
-        if self.domains.matches(&url.host) {
-            return Decision::Deny(Trigger::Domain);
-        }
-
-        // 5. Destination-subnet blacklist (literal-IP hosts).
-        if let Some(ip) = url.host_ip() {
-            if self.subnets.contains(ip) {
-                return Decision::Deny(Trigger::IpSubnet);
-            }
-            // 6. Tor relay rule. In the leak era only circuit traffic
-            //    (Tor_onion) is censored, never directory signaling (§7.1:
-            //    Tor_http is always allowed); the wholesale December-2012
-            //    regime (cap ≥ 1000) blocks every relay endpoint.
-            if let Some(relays) = &self.relays {
-                let cap = cfg.tor_rule_per_mille_cap;
-                let wholesale = cap >= 1000;
-                if cap > 0
-                    && (wholesale || !signaling::is_dir_path(&url.path))
+        // 6. Tor relay rule on literal-IP hosts. In the leak era only
+        //    circuit traffic (Tor_onion) is censored, never directory
+        //    signaling (§7.1: Tor_http is always allowed); the wholesale
+        //    December-2012 regime (cap ≥ 1000) blocks every relay endpoint.
+        let cap = cfg.tor_rule_per_mille_cap;
+        let Some(relays) = self.relays.as_ref().filter(|_| cap > 0) else {
+            return Decision::Allow;
+        };
+        match url.host_ip() {
+            Some(ip)
+                if (cap >= 1000 || !signaling::is_dir_path(&url.path))
                     && relays.contains(ip, url.port, req.timestamp.date())
-                    && self.tor_rule_active(cap, ip, req.timestamp)
-                {
-                    return Decision::Deny(Trigger::TorRelay);
-                }
+                    && self.tor_rule_active(cap, ip, req.timestamp) =>
+            {
+                Decision::Deny(Trigger::TorRelay)
             }
+            _ => Decision::Allow,
         }
-
-        Decision::Allow
     }
 
     /// The `cs-categories` value to log for `req` under `decision`.

@@ -6,8 +6,8 @@
 //! occur for it). Assignment is a pure hash of request identity and
 //! timestamp, so the same workload always produces the same error records.
 
-use crate::hashing::{decision_hash, per_cent_mille};
-use crate::request::Request;
+use crate::hashing::{decision_hash, fnv1a, fnv1a_from, per_cent_mille};
+use filterscope_core::Timestamp;
 use filterscope_logformat::ExceptionId;
 
 /// Relative weights of the error exceptions, from Table 3's `Ddenied`
@@ -43,9 +43,11 @@ impl ErrorModel {
         }
     }
 
-    /// Should `req` fail with a network error, and if so which?
-    pub fn sample(&self, req: &Request) -> Option<ExceptionId> {
-        self.sample_from(req, &ERROR_MIX)
+    /// Should the request with identity key `key` (see
+    /// [`crate::Request::identity_key`]), made at `timestamp`, fail with a
+    /// network error, and if so which?
+    pub fn sample(&self, key: u64, timestamp: Timestamp) -> Option<ExceptionId> {
+        self.sample_from(key, timestamp, &ERROR_MIX)
     }
 
     /// [`Self::sample`] drawing the exception kind from a caller-supplied
@@ -54,15 +56,21 @@ impl ErrorModel {
     /// — so every censor profile shares one error population while emitting
     /// only the exceptions its vantage can actually observe (a DNS poisoner
     /// never logs a proxy's `internal_error`).
-    pub fn sample_from(&self, req: &Request, mix: &[(ExceptionId, u32)]) -> Option<ExceptionId> {
-        let mut key = req.identity_bytes();
-        key.extend_from_slice(&req.timestamp.epoch_seconds().to_le_bytes());
-        let h = decision_hash(self.seed, "net-error", &key);
+    pub fn sample_from(
+        &self,
+        key: u64,
+        timestamp: Timestamp,
+        mix: &[(ExceptionId, u32)],
+    ) -> Option<ExceptionId> {
+        const NET_ERROR: u64 = fnv1a(b"net-error");
+        const NET_ERROR_KIND: u64 = fnv1a(b"net-error-kind");
+        let key = fnv1a_from(key, &timestamp.epoch_seconds().to_le_bytes());
+        let h = decision_hash(self.seed, NET_ERROR, key);
         if per_cent_mille(h) >= self.rate_per_cent_mille as u64 {
             return None;
         }
         // Second, independent draw selects the exception kind.
-        let pick = decision_hash(self.seed, "net-error-kind", &key) % 10_000;
+        let pick = decision_hash(self.seed, NET_ERROR_KIND, key) % 10_000;
         let mut acc = 0u64;
         for (e, w) in mix.iter() {
             acc += *w as u64;
@@ -78,16 +86,17 @@ impl ErrorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use filterscope_core::Timestamp;
+    use crate::request::Request;
     use filterscope_logformat::RequestUrl;
 
-    fn reqs(n: u64) -> impl Iterator<Item = Request> {
+    fn reqs(n: u64) -> impl Iterator<Item = (u64, Timestamp)> {
         let t0 = Timestamp::parse_fields("2011-08-03", "00:00:00").unwrap();
         (0..n).map(move |i| {
-            Request::get(
+            let req = Request::get(
                 t0.plus_seconds(i as i64 % 86_400),
                 RequestUrl::http(format!("host{i}.example"), "/"),
-            )
+            );
+            (req.identity_key(), req.timestamp)
         })
     }
 
@@ -95,7 +104,7 @@ mod tests {
     fn rate_converges() {
         let m = ErrorModel::new(7, 5_310);
         let n = 200_000u64;
-        let errors = reqs(n).filter(|r| m.sample(r).is_some()).count() as f64;
+        let errors = reqs(n).filter(|&(k, t)| m.sample(k, t).is_some()).count() as f64;
         let rate = errors / n as f64;
         assert!((rate - 0.0531).abs() < 0.003, "rate {rate}");
     }
@@ -106,8 +115,8 @@ mod tests {
         let mut tcp = 0u64;
         let mut internal = 0u64;
         let mut total = 0u64;
-        for r in reqs(50_000) {
-            match m.sample(&r) {
+        for (k, t) in reqs(50_000) {
+            match m.sample(k, t) {
                 Some(ExceptionId::TcpError) => {
                     tcp += 1;
                     total += 1;
@@ -129,15 +138,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let m = ErrorModel::new(7, 5_310);
-        for r in reqs(100) {
-            assert_eq!(m.sample(&r), m.sample(&r));
+        for (k, t) in reqs(100) {
+            assert_eq!(m.sample(k, t), m.sample(k, t));
         }
     }
 
     #[test]
     fn zero_rate_never_errors() {
         let m = ErrorModel::new(7, 0);
-        assert!(reqs(1000).all(|r| m.sample(&r).is_none()));
+        assert!(reqs(1000).all(|(k, t)| m.sample(k, t).is_none()));
     }
 
     #[test]
@@ -151,9 +160,9 @@ mod tests {
             (ExceptionId::DnsServerFailure, 2_500),
             (ExceptionId::TcpError, 1_500),
         ];
-        for r in reqs(5_000) {
-            let default = m.sample(&r);
-            let scoped = m.sample_from(&r, &dns_mix);
+        for (k, t) in reqs(5_000) {
+            let default = m.sample(k, t);
+            let scoped = m.sample_from(k, t, &dns_mix);
             assert_eq!(default.is_some(), scoped.is_some());
             if let Some(e) = scoped {
                 assert!(
@@ -167,8 +176,8 @@ mod tests {
     #[test]
     fn sample_from_default_mix_is_sample() {
         let m = ErrorModel::new(7, 50_000);
-        for r in reqs(2_000) {
-            assert_eq!(m.sample(&r), m.sample_from(&r, &ERROR_MIX));
+        for (k, t) in reqs(2_000) {
+            assert_eq!(m.sample(k, t), m.sample_from(k, t, &ERROR_MIX));
         }
     }
 
@@ -181,8 +190,9 @@ mod tests {
         let t0 = Timestamp::parse_fields("2011-08-03", "00:00:00").unwrap();
         let flipped = (0..200u32).any(|i| {
             let url = RequestUrl::http(format!("h{i}.net"), "/");
-            let a = m.sample(&Request::get(t0, url.clone()));
-            let b = m.sample(&Request::get(t0.plus_seconds(17), url));
+            let key = Request::get(t0, url).identity_key();
+            let a = m.sample(key, t0);
+            let b = m.sample(key, t0.plus_seconds(17));
             a.is_some() != b.is_some()
         });
         assert!(flipped);

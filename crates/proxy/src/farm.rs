@@ -11,7 +11,7 @@ use crate::cache::CacheModel;
 use crate::config::FarmConfig;
 use crate::engine::PolicyEngine;
 use crate::errors::ErrorModel;
-use crate::hashing::{decision_hash, per_mille};
+use crate::hashing::{decision_hash, fnv1a, per_mille};
 use crate::profile::{CensorProfile, ProfileContext};
 use crate::request::Request;
 use filterscope_core::ProxyId;
@@ -113,15 +113,21 @@ impl ProxyFarm {
     }
 
     /// Route a request to a proxy: uniform hash placement with the
-    /// domain-based specialization overrides of [`config::ROUTE_BIASES`]
-    /// (shared with the static skew report in `filterscope-policylint`).
+    /// domain-based specialization overrides of
+    /// [`ROUTE_BIASES`](crate::config::ROUTE_BIASES) (shared with the
+    /// static skew report in `filterscope-policylint`).
     pub fn route(&self, req: &Request) -> ProxyId {
-        let seed = self.config.seed;
-        let key = req.identity_bytes();
-        let h = decision_hash(seed, "route", &key);
-        let pm = per_mille(decision_hash(seed, "route-special", &key));
+        self.route_by_key(req, req.identity_key())
+    }
 
+    /// [`ProxyFarm::route`] for a request whose
+    /// [`Request::identity_key`] is already computed.
+    fn route_by_key(&self, req: &Request, key: u64) -> ProxyId {
+        const ROUTE: u64 = fnv1a(b"route");
+        const ROUTE_SPECIAL: u64 = fnv1a(b"route-special");
+        let seed = self.config.seed;
         if self.active.len() == ProxyId::COUNT {
+            let pm = per_mille(decision_hash(seed, ROUTE_SPECIAL, key));
             let base = base_domain_of(&req.url.host);
             let is_ip = req.url.host_is_ip();
             for bias in crate::config::ROUTE_BIASES {
@@ -133,6 +139,7 @@ impl ProxyFarm {
                 }
             }
         }
+        let h = decision_hash(seed, ROUTE, key);
         self.active[(h % self.active.len() as u64) as usize]
     }
 
@@ -149,7 +156,7 @@ impl ProxyFarm {
     /// owns routing and policy.
     pub fn process_on(&self, req: &Request, proxy: ProxyId) -> LogRecord {
         let mut filter_buf = String::new();
-        self.process_on_with_buf(req, proxy, &mut filter_buf)
+        self.process_on_with_buf(req, proxy, req.identity_key(), &mut filter_buf)
     }
 
     /// Process a whole batch of requests, appending the produced records to
@@ -160,23 +167,27 @@ impl ProxyFarm {
         out.reserve(reqs.len());
         let mut filter_buf = String::new();
         for req in reqs {
-            let proxy = self.route(req);
-            out.push(self.process_on_with_buf(req, proxy, &mut filter_buf));
+            let key = req.identity_key();
+            let proxy = self.route_by_key(req, key);
+            out.push(self.process_on_with_buf(req, proxy, key, &mut filter_buf));
         }
     }
 
-    /// [`ProxyFarm::process_on`] against a caller-owned scratch buffer (see
-    /// [`PolicyEngine::decide_with_buf`]).
+    /// [`ProxyFarm::process_on`] for a request whose
+    /// [`Request::identity_key`] is `key`, against a caller-owned scratch
+    /// buffer (see [`PolicyEngine::decide_with_buf`]).
     fn process_on_with_buf(
         &self,
         req: &Request,
         proxy: ProxyId,
+        key: u64,
         filter_buf: &mut String,
     ) -> LogRecord {
         let cfg = &self.config.proxies[proxy.index()];
         let verdict = self.engine.verdict_with_buf(cfg, req, filter_buf);
         self.profile.render(&ProfileContext {
             req,
+            key,
             proxy,
             verdict,
             cache: &self.cache,

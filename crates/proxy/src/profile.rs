@@ -29,10 +29,11 @@
 use crate::cache::CacheModel;
 use crate::engine::Verdict;
 use crate::errors::{ErrorModel, ERROR_MIX};
-use crate::hashing::decision_hash;
+use crate::hashing::{decision_hash, fnv1a};
 use crate::request::Request;
 use filterscope_core::ProxyId;
 use filterscope_logformat::{ExceptionId, FilterResult, LogRecord, Method, SAction};
+use std::borrow::Cow;
 
 /// The mechanisms the simulator can run, in canonical order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,6 +97,10 @@ impl ProfileKind {
 pub struct ProfileContext<'a> {
     /// The classified request.
     pub req: &'a Request,
+    /// `req`'s [`Request::identity_key`], computed once per request and
+    /// shared by every hash-driven draw (cache, errors, time-taken, the
+    /// profiles' own footprints).
+    pub key: u64,
     /// The appliance / vantage the record is attributed to.
     pub proxy: ProxyId,
     /// The compiled policy's decision + category label for this request.
@@ -174,14 +179,14 @@ fn finish(ctx: &ProfileContext<'_>, outcome: Outcome) -> LogRecord {
         .unwrap_or("")
         .to_string();
     let content_type = if !served || req.method == Method::Connect {
-        String::new()
+        ""
     } else {
-        content_type_for(&uri_ext).to_string()
+        content_type_for(&uri_ext)
     };
 
     LogRecord {
         timestamp: req.timestamp,
-        time_taken_ms: time_taken(req, filter_result),
+        time_taken_ms: time_taken(ctx.key, filter_result),
         client: req.client,
         sc_status,
         s_action,
@@ -191,11 +196,7 @@ fn finish(ctx: &ProfileContext<'_>, outcome: Outcome) -> LogRecord {
         url,
         uri_ext,
         username: String::new(),
-        hierarchy: if served {
-            "DIRECT".into()
-        } else {
-            "NONE".into()
-        },
+        hierarchy: Cow::Borrowed(if served { "DIRECT" } else { "NONE" }),
         // A host of literally "-" would collide with the absent-field
         // marker on disk; such a degenerate supplier is logged as absent.
         supplier: if served && req.url.host != "-" {
@@ -203,13 +204,13 @@ fn finish(ctx: &ProfileContext<'_>, outcome: Outcome) -> LogRecord {
         } else {
             String::new()
         },
-        content_type,
+        content_type: Cow::Borrowed(content_type),
         user_agent: req.user_agent.clone(),
         filter_result,
-        categories: ctx.verdict.categories.to_string(),
+        categories: Cow::Borrowed(ctx.verdict.categories),
         virus_id: String::new(),
         s_ip: ctx.proxy.s_ip(),
-        sitename: "SG-HTTP-Service".into(),
+        sitename: Cow::Borrowed("SG-HTTP-Service"),
         exception,
     }
 }
@@ -219,7 +220,10 @@ fn finish(ctx: &ProfileContext<'_>, outcome: Outcome) -> LogRecord {
 /// is either struck by a mechanism-scoped network error or observed intact.
 fn render_uncensored(profile: &dyn CensorProfile, ctx: &ProfileContext<'_>) -> LogRecord {
     let req = ctx.req;
-    let outcome = if let Some(err) = ctx.errors.sample_from(req, profile.error_mix()) {
+    let outcome = if let Some(err) =
+        ctx.errors
+            .sample_from(ctx.key, req.timestamp, profile.error_mix())
+    {
         let status = match err {
             ExceptionId::DnsUnresolvedHostname | ExceptionId::DnsServerFailure => 503,
             ExceptionId::InvalidRequest => 400,
@@ -267,7 +271,7 @@ impl CensorProfile for BlueCoatProxy {
     fn render(&self, ctx: &ProfileContext<'_>) -> LogRecord {
         let req = ctx.req;
         let decision = ctx.verdict.decision;
-        let cache_hit = ctx.cache.is_cache_hit(req);
+        let cache_hit = ctx.cache.is_cache_hit(ctx.key, req.timestamp);
 
         // Outcome resolution.
         let outcome = if decision.is_censored() {
@@ -275,7 +279,7 @@ impl CensorProfile for BlueCoatProxy {
             if cache_hit {
                 // PROXIED rows for censored URLs sometimes lose the
                 // exception — the inconsistency §3.3 observes.
-                let exc = if ctx.cache.drops_exception(req) {
+                let exc = if ctx.cache.drops_exception(ctx.key) {
                     ExceptionId::None
                 } else {
                     exception
@@ -308,7 +312,10 @@ impl CensorProfile for BlueCoatProxy {
                 sc_status: 200,
                 sc_bytes: req.response_bytes,
             }
-        } else if let Some(err) = ctx.errors.sample_from(req, self.error_mix()) {
+        } else if let Some(err) = ctx
+            .errors
+            .sample_from(ctx.key, req.timestamp, self.error_mix())
+        {
             let status = match err {
                 ExceptionId::DnsUnresolvedHostname | ExceptionId::DnsServerFailure => 503,
                 ExceptionId::InvalidRequest => 400,
@@ -369,7 +376,6 @@ impl CensorProfile for DnsPoison {
     }
 
     fn render(&self, ctx: &ProfileContext<'_>) -> LogRecord {
-        let req = ctx.req;
         let decision = ctx.verdict.decision;
         if !decision.is_censored() {
             return render_uncensored(self, ctx);
@@ -384,7 +390,8 @@ impl CensorProfile for DnsPoison {
                 sc_bytes: 0,
             },
         );
-        let h = decision_hash(0x0044_4E53, "dns-poison", &req.identity_bytes());
+        const DNS_POISON: u64 = fnv1a(b"dns-poison");
+        let h = decision_hash(0x0044_4E53, DNS_POISON, ctx.key);
         // The name never resolved: the client sent no HTTP request, and the
         // only latency is the resolver round trip.
         rec.cs_bytes = 0;
@@ -427,7 +434,8 @@ impl CensorProfile for TcpRst {
         if !decision.is_censored() {
             return render_uncensored(self, ctx);
         }
-        let h = decision_hash(0x0052_5354, "tcp-rst", &req.identity_bytes());
+        const TCP_RST: u64 = fnv1a(b"tcp-rst");
+        let h = decision_hash(0x0052_5354, TCP_RST, ctx.key);
         let mut rec = finish(
             ctx,
             Outcome {
@@ -440,7 +448,7 @@ impl CensorProfile for TcpRst {
             },
         );
         // The flow went direct and the origin answered until the reset.
-        rec.hierarchy = "DIRECT".into();
+        rec.hierarchy = Cow::Borrowed("DIRECT");
         if req.url.host != "-" {
             rec.supplier = req.url.host.clone();
         }
@@ -506,11 +514,12 @@ impl CensorProfile for BlockpageInject {
         // The injected answer is always an HTML page, whatever was asked
         // for — mismatched content type is part of the fingerprint.
         if req.method != Method::Connect {
-            rec.content_type = "text/html".to_string();
+            rec.content_type = Cow::Borrowed("text/html");
         }
         // Injected from on-path hardware near the client: faster than any
         // origin round trip.
-        let h = decision_hash(0x0042_5047, "blockpage", &req.identity_bytes());
+        const BLOCKPAGE: u64 = fnv1a(b"blockpage");
+        let h = decision_hash(0x0042_5047, BLOCKPAGE, ctx.key);
         rec.time_taken_ms = 1 + (h % 20) as u32;
         rec
     }
@@ -518,8 +527,9 @@ impl CensorProfile for BlockpageInject {
 
 /// Plausible `time-taken` values: censored decisions are local and fast;
 /// served requests include origin round trips.
-fn time_taken(req: &Request, fr: FilterResult) -> u32 {
-    let h = decision_hash(0x71AE, "time-taken", &req.identity_bytes());
+fn time_taken(key: u64, fr: FilterResult) -> u32 {
+    const TIME_TAKEN: u64 = fnv1a(b"time-taken");
+    let h = decision_hash(0x71AE, TIME_TAKEN, key);
     match fr {
         FilterResult::Denied => 1 + (h % 30) as u32,
         FilterResult::Proxied => 1 + (h % 15) as u32,

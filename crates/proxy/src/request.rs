@@ -1,5 +1,6 @@
 //! The farm's input: a client request before filtering.
 
+use crate::hashing::{fnv1a, fnv1a_from};
 use filterscope_core::Timestamp;
 use filterscope_logformat::{ClientId, Method, RequestUrl};
 
@@ -66,10 +67,29 @@ impl Request {
         self
     }
 
-    /// Stable content bytes for decision hashing: everything that identifies
-    /// the request except the timestamp (so per-URL decisions like cacheing
-    /// stay stable across retries) — callers mix time in explicitly when a
-    /// decision should vary over time.
+    /// The request's identity hash: FNV-1a over [`Request::identity_bytes`],
+    /// streamed field by field with no allocation and no `core::fmt`. Every
+    /// per-request decision (routing, cache, errors, time-taken, profile
+    /// draws) hashes from this one key; time-bucketed decisions continue it
+    /// with [`crate::hashing::fnv1a_from`].
+    pub fn identity_key(&self) -> u64 {
+        let url = &self.url;
+        let mut h = fnv1a(url.host.as_bytes());
+        h = fnv1a_from(h, &[0]);
+        h = fnv1a_from(h, url.path.as_bytes());
+        h = fnv1a_from(h, &[0]);
+        h = fnv1a_from(h, url.query.as_bytes());
+        h = fnv1a_from(h, &[0]);
+        h = fnv1a_from(h, &url.port.to_le_bytes());
+        fnv1a_from(h, self.client.logged(&mut [0; 16]).as_bytes())
+    }
+
+    /// The bytes [`Request::identity_key`] hashes: host, path and query
+    /// each NUL-terminated, the port little-endian, then the client as
+    /// logged. Everything that identifies the request except the timestamp
+    /// (so per-URL decisions like caching stay stable across retries);
+    /// decisions that vary over time mix it in explicitly. Kept as the
+    /// allocating reference the streamed key is tested against.
     pub fn identity_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(
             self.url.host.len() + self.url.path.len() + self.url.query.len() + 24,

@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use filterscope_analysis::{classify_mechanism_view, AnalysisContext, AnalysisSuite};
-use filterscope_logformat::{BlockParser, RequestUrl, Schema};
+use filterscope_logformat::{BlockParser, Schema, UrlView};
 use filterscope_proxy::{Decision, PolicyEngine};
 use interleave::{IMutex, IReceiver, Ordering};
 
@@ -75,24 +75,28 @@ pub struct ConnHandle {
 /// The decision surface [`ingest_batch`] evaluates records against.
 /// Production uses the compiled [`PolicyEngine`]; model tests substitute
 /// a deterministic stamp engine to observe which generation decided.
+/// Records are decided on their borrowed URL, with a scratch buffer the
+/// caller reuses across a batch.
 pub trait Decide {
-    fn decide_url(&self, url: &RequestUrl) -> Decision;
+    fn decide_view(&self, url: &UrlView<'_>, filter_buf: &mut String) -> Decision;
 }
 
 impl Decide for PolicyEngine {
-    fn decide_url(&self, url: &RequestUrl) -> Decision {
-        PolicyEngine::decide_url(self, url)
+    fn decide_view(&self, url: &UrlView<'_>, filter_buf: &mut String) -> Decision {
+        PolicyEngine::decide_view(self, url, filter_buf)
     }
 }
 
 /// The per-worker parsing state: the canonical schema, the reusable
 /// [`BlockParser`] every frame payload goes through (the same line rules as
-/// file ingest), and the running physical-line number, bundled so the
-/// batch ingest signature stays small.
+/// file ingest), the running physical-line number and the policy
+/// decisions' keyword-scan scratch, bundled so the batch ingest signature
+/// stays small.
 pub struct LineParser {
     schema: Schema,
     block: BlockParser,
     line_no: u64,
+    filter_buf: String,
 }
 
 impl LineParser {
@@ -101,6 +105,7 @@ impl LineParser {
             schema: Schema::canonical(),
             block: BlockParser::new(),
             line_no: 0,
+            filter_buf: String::new(),
         }
     }
 }
@@ -154,7 +159,7 @@ pub fn ingest_batch<E: Decide>(
     let mut max_ts = 0u64;
     for view in &views {
         if let Some(engine) = engine {
-            match engine.decide_url(&view.url.to_url()) {
+            match engine.decide_view(&view.url, &mut parser.filter_buf) {
                 Decision::Allow => out.allowed += 1,
                 Decision::Deny(_) => out.denied += 1,
                 Decision::Redirect(_) => out.redirected += 1,

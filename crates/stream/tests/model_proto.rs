@@ -19,7 +19,7 @@ use std::sync::Arc;
 use filterscope_analysis::{AnalysisContext, AnalysisSuite, Selection, SuiteParams};
 use filterscope_core::{ProxyId, Timestamp};
 use filterscope_logformat::record::RecordBuilder;
-use filterscope_logformat::RequestUrl;
+use filterscope_logformat::{RequestUrl, UrlView};
 use filterscope_proxy::{Decision, PolicyEngine, Trigger};
 use filterscope_snapstore::{encode_value, suite_at, Frame, FrameKind, SUITE_KEY};
 use filterscope_stream::metrics::{ConnStats, ServerStats};
@@ -186,7 +186,7 @@ fn fold_is_equivalent_to_sequential_ingest_under_all_schedules() {
 struct Stamp(u64);
 
 impl Decide for Stamp {
-    fn decide_url(&self, _url: &RequestUrl) -> Decision {
+    fn decide_view(&self, _url: &UrlView<'_>, _filter_buf: &mut String) -> Decision {
         if self.0 == 1 {
             Decision::Allow
         } else {

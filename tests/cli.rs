@@ -534,6 +534,54 @@ fn generate_is_byte_identical_across_thread_counts() {
     std::fs::remove_dir_all(&d8).ok();
 }
 
+/// FNV-1a 64 of `generate --scale 65536` output (day files in period
+/// order), per censor profile. Any change to the farm's decisions or to the
+/// record writer that moves a single byte of any profile's corpus fails
+/// here; the pins are identical at `--threads 1` and `2`.
+const GENERATE_PINS: [(&str, u64); 4] = [
+    ("blue-coat", 0x9767_65d2_a2d0_c4a8),
+    ("dns-poison", 0x3d18_408f_4642_1912),
+    ("tcp-rst", 0x1a7a_aa20_34cd_6669),
+    ("blockpage", 0x4ed1_aa35_5eaf_c612),
+];
+
+#[test]
+fn generate_output_is_pinned_for_every_censor_profile() {
+    for (censor, pin) in GENERATE_PINS {
+        for threads in ["1", "2"] {
+            let dir = temp_dir(&format!("pin_{censor}_{threads}"));
+            let out = bin()
+                .args(["generate", "--scale", "65536", "--censor", censor])
+                .args(["--threads", threads, "--out"])
+                .arg(&dir)
+                .output()
+                .expect("run generate");
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .expect("read dir")
+                .map(|e| e.unwrap().path())
+                .collect();
+            names.sort();
+            assert_eq!(names.len(), 9, "nine day files");
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for name in &names {
+                for b in std::fs::read(name).expect("read day file") {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                hash, pin,
+                "{censor} at --threads {threads}: generate output hashes to {hash:#018x}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 #[test]
 fn generate_write_failure_is_a_clean_per_day_error() {
     let dir = temp_dir("gen_fail");
